@@ -13,18 +13,26 @@
 // checksum. `--check` turns the parity comparisons and the zero-allocation
 // assertion into hard failures (CI runs it under ASan/TSan); `--out=FILE`
 // emits the JSON summary that seeds BENCH_net.json at the repo root.
+//
+// The `seq_sparse` row is the opposite traffic shape: a handful of tokens
+// walking data/synth-p2p-10k.qcg (`--dataset=FILE` to override), so each
+// round carries a few messages on a graph of ~65k directed edges. It is
+// reported per round: what matters there is what a round costs beyond its
+// messages.
 
 #include <algorithm>
 #include <chrono>
 #include <fstream>
 #include <memory>
 #include <sstream>
+#include <thread>
 #include <utility>
 #include <vector>
 
 #include "bench/harness.hpp"
 #include "congest/network.hpp"
 #include "congest/observer.hpp"
+#include "graph/io.hpp"
 #include "util/alloc_probe.hpp"
 #include "util/bits.hpp"
 #include "util/error.hpp"
@@ -76,6 +84,38 @@ class Flood final : public congest::NodeProgram {
   std::uint64_t sum_ = 0;
 };
 
+/// Sparse traffic: tokens start at `walkers` spread-out nodes and move one
+/// hop per round. A token that arrived on port p leaves on port
+/// (p + 1) mod degree — a bijection on the node's ports, so tokens never
+/// collide on a port and exactly `walkers` messages cross the network every
+/// round. Every node votes to halt after its turn, so token-less nodes are
+/// skipped by compute and only the engine's per-round overhead remains.
+class Walk final : public congest::NodeProgram {
+ public:
+  explicit Walk(bool starts) : starts_(starts) {}
+
+  void on_start(congest::NodeContext& ctx) override {
+    if (starts_ && ctx.degree() > 0) {
+      ctx.send(0, congest::Message().push(ctx.id(), ctx.id_bits()));
+    }
+    ctx.vote_halt();
+  }
+
+  void on_round(congest::NodeContext& ctx) override {
+    for (const auto& in : ctx.inbox()) {
+      sum_ = mix(mix(mix(sum_, in.port), in.msg.field(0)), ctx.round());
+      ctx.send((in.port + 1) % ctx.degree(), in.msg);
+    }
+    ctx.vote_halt();
+  }
+
+  std::uint64_t sum() const { return sum_; }
+
+ private:
+  bool starts_;
+  std::uint64_t sum_ = 0;
+};
+
 struct Result {
   double ms = 0.0;               ///< best (min) timed repetition
   std::uint64_t messages = 0;    ///< deliveries in that repetition
@@ -89,6 +129,9 @@ struct Result {
   }
   double ns_per_delivery() const {
     return ms * 1e6 / static_cast<double>(std::max<std::uint64_t>(messages, 1));
+  }
+  double ns_per_round(std::uint32_t rounds) const {
+    return ms * 1e6 / static_cast<double>(std::max<std::uint32_t>(rounds, 1));
   }
   double allocs_per_delivery() const {
     return static_cast<double>(allocs) /
@@ -262,6 +305,32 @@ Result run_legacy(const graph::Graph& g, std::uint32_t warm,
   return r;
 }
 
+/// Warms `net` up, then times `reps` phases of `rounds` rounds each; the
+/// checksum sums Program::sum() over every node.
+template <typename Program>
+Result time_phases(congest::Network& net, std::uint32_t warm,
+                   std::uint32_t rounds, std::uint32_t reps) {
+  net.run_rounds(warm);
+  Result r;
+  const std::uint64_t a0 = qc::alloc_probe_count().load();
+  for (std::uint32_t rep = 0; rep < reps; ++rep) {
+    const auto t0 = std::chrono::steady_clock::now();
+    const congest::RunStats st = net.run_rounds(rounds);
+    const double ms = ms_since(t0);
+    if (rep == 0 || ms < r.ms) {
+      r.ms = ms;
+      r.messages = st.messages;
+    }
+    r.total_messages += st.messages;
+    r.total_bits += st.bits;
+  }
+  r.allocs = qc::alloc_probe_count().load() - a0;
+  for (graph::NodeId v = 0; v < net.n(); ++v) {
+    r.checksum += net.program_as<Program>(v).sum();
+  }
+  return r;
+}
+
 Result run_new(const graph::Graph& g, congest::Engine engine,
                bool with_observer, bool with_fault, std::uint64_t seed,
                std::uint32_t warm, std::uint32_t rounds, std::uint32_t reps) {
@@ -282,24 +351,7 @@ Result run_new(const graph::Graph& g, congest::Engine engine,
   congest::Network net(g, cfg);
   net.init_programs(
       [](graph::NodeId) { return std::make_unique<Flood>(); });
-  net.run_rounds(warm);
-  Result r;
-  const std::uint64_t a0 = qc::alloc_probe_count().load();
-  for (std::uint32_t rep = 0; rep < reps; ++rep) {
-    const auto t0 = std::chrono::steady_clock::now();
-    const congest::RunStats st = net.run_rounds(rounds);
-    const double ms = ms_since(t0);
-    if (rep == 0 || ms < r.ms) {
-      r.ms = ms;
-      r.messages = st.messages;
-    }
-    r.total_messages += st.messages;
-    r.total_bits += st.bits;
-  }
-  r.allocs = qc::alloc_probe_count().load() - a0;
-  for (graph::NodeId v = 0; v < g.n(); ++v) {
-    r.checksum += net.program_as<Flood>(v).sum();
-  }
+  const Result r = time_phases<Flood>(net, warm, rounds, reps);
   if (with_observer) {
     check_internal(*observed == net.stats().messages,
                    "observer saw a different delivery count than the stats");
@@ -307,11 +359,24 @@ Result run_new(const graph::Graph& g, congest::Engine engine,
   return r;
 }
 
+/// `walkers` tokens on `g` (see Walk).
+Result run_sparse(const graph::Graph& g, std::uint32_t walkers,
+                  std::uint32_t warm, std::uint32_t rounds,
+                  std::uint32_t reps) {
+  congest::Network net(g);
+  const std::uint32_t stride = std::max<std::uint32_t>(1, g.n() / walkers);
+  net.init_programs([stride, walkers](graph::NodeId v) {
+    return std::make_unique<Walk>(v % stride == 0 && v / stride < walkers);
+  });
+  return time_phases<Walk>(net, warm, rounds, reps);
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
   const auto opt =
-      BenchOptions::parse(argc, argv, {"out", "n", "d", "rounds", "check"});
+      BenchOptions::parse(argc, argv,
+                          {"out", "n", "d", "rounds", "check", "dataset"});
   Cli cli(argc, argv);
   const auto n =
       static_cast<std::uint32_t>(cli.get_int("n", opt.quick ? 192 : 512));
@@ -321,6 +386,8 @@ int main(int argc, char** argv) {
       cli.get_int("rounds", opt.quick ? 60 : 240));
   const bool check = cli.get_bool("check", false);
   const std::string out = cli.get_string("out", "");
+  const std::string dataset = cli.get_string(
+      "dataset", std::string(QC_DATA_DIR) + "/synth-p2p-10k.qcg");
   const std::uint32_t warm = 8;
   const std::uint32_t reps = opt.quick ? 3 : 5;
 
@@ -351,12 +418,17 @@ int main(int argc, char** argv) {
   results.push_back(
       {"par_fault", run_new(g, congest::Engine::kParallel, false, true,
                             opt.seed, warm, rounds, reps)});
+  const auto sparse_g = graph::load_graph_file(dataset);
+  const std::uint32_t walkers = 8;
+  results.push_back(
+      {"seq_sparse", run_sparse(sparse_g, walkers, warm, rounds, reps)});
 
-  Table t({"config", "ms", "messages", "msgs/sec", "ns/delivery",
+  Table t({"config", "ms", "messages", "msgs/sec", "ns/delivery", "ns/round",
            "allocs/delivery"});
   for (const auto& [name, r] : results) {
     t.add_row({name, fmt(r.ms, 1), fmt(r.messages), fmt(r.msgs_per_sec(), 0),
-               fmt(r.ns_per_delivery(), 1), fmt(r.allocs_per_delivery(), 4)});
+               fmt(r.ns_per_delivery(), 1), fmt(r.ns_per_round(rounds), 1),
+               fmt(r.allocs_per_delivery(), 4)});
   }
   t.print(std::cout);
 
@@ -365,6 +437,7 @@ int main(int argc, char** argv) {
   const Result& seq_fault = results[3].r;
   const Result& par = results[4].r;
   const Result& par_fault = results[5].r;
+  const Result& sparse = results[6].r;
   const double speedup = seq.msgs_per_sec() / legacy_r.msgs_per_sec();
   std::cout << "\nsequential speedup vs legacy: " << fmt(speedup, 2)
             << "x  (" << fmt(legacy_r.ns_per_delivery(), 1) << " -> "
@@ -387,6 +460,9 @@ int main(int argc, char** argv) {
                  "engines disagree under an active fault plan");
   check_internal(seq_fault.total_messages < seq.total_messages,
                  "fault plan dropped no messages");
+  check_internal(sparse.total_messages ==
+                     std::uint64_t{walkers} * rounds * reps,
+                 "sparse walk lost or duplicated a token");
   if (check) {
     check_internal(seq.allocs == 0,
                    "sequential no-fault delivery allocated at steady state");
@@ -404,6 +480,10 @@ int main(int argc, char** argv) {
        << "  \"reps\": " << reps << ",\n"
        << "  \"warmup_rounds\": " << warm << ",\n"
        << "  \"bandwidth_bits\": " << congest_bandwidth_bits(n) << ",\n"
+       << "  \"host_cpus\": " << std::thread::hardware_concurrency() << ",\n"
+       << "  \"sparse_graph\": {\"n\": " << sparse_g.n()
+       << ", \"edges\": " << sparse_g.m() << ", \"walkers\": " << walkers
+       << "},\n"
        << "  \"configs\": {\n";
   for (std::size_t i = 0; i < results.size(); ++i) {
     const auto& [name, r] = results[i];
@@ -411,6 +491,7 @@ int main(int argc, char** argv) {
          << ", \"messages\": " << r.messages
          << ", \"msgs_per_sec\": " << fmt(r.msgs_per_sec(), 0)
          << ", \"ns_per_delivery\": " << fmt(r.ns_per_delivery(), 1)
+         << ", \"ns_per_round\": " << fmt(r.ns_per_round(rounds), 1)
          << ", \"allocs_per_delivery\": " << fmt(r.allocs_per_delivery(), 4)
          << "}" << (i + 1 < results.size() ? "," : "") << "\n";
   }

@@ -229,6 +229,14 @@ EvaluationOutcome evaluate_window_ecc(const graph::Graph& g,
                                       std::uint32_t steps,
                                       congest::NetworkConfig cfg,
                                       const std::vector<bool>* mask) {
+  Network net(g, std::move(cfg));
+  return evaluate_window_ecc(net, tree, u0, steps, mask);
+}
+
+EvaluationOutcome evaluate_window_ecc(Network& net, const TreeState& tree,
+                                      NodeId u0, std::uint32_t steps,
+                                      const std::vector<bool>* mask) {
+  const graph::Graph& g = net.topology();
   require(u0 < g.n(), "evaluate_window_ecc: u0 out of range");
   require(tree.n() == g.n(), "evaluate_window_ecc: tree size mismatch");
   require(mask == nullptr || mask->size() == g.n(),
@@ -251,7 +259,6 @@ EvaluationOutcome evaluate_window_ecc(const graph::Graph& g,
   p.tree_height = tree.height;
   p.n = g.n();
 
-  Network net(g, cfg);
   net.init_programs([&](NodeId v) {
     return std::make_unique<EvaluationProgram>(
         p, tree.parent[v], tree.depth[v],
@@ -320,10 +327,14 @@ UnitaryEvaluationOutcome evaluate_window_ecc_unitary(
   // Forward pass, traced; arm() composes the recorder with any observer
   // the caller installed (MultiObserver, caller's observer first).
   congest::TraceRecorder recorder;
-  auto traced = recorder.arm(std::move(cfg));
+  congest::NetworkConfig revert_cfg;
+  revert_cfg.policy = cfg.policy;
+  Network forward(g, recorder.arm(std::move(cfg)));
+  // The revert pass must fit the channels the forward pass used.
+  revert_cfg.bandwidth_bits = forward.bandwidth_bits();
 
   UnitaryEvaluationOutcome out;
-  out.forward = evaluate_window_ecc(g, tree, u0, steps, traced, mask);
+  out.forward = evaluate_window_ecc(forward, tree, u0, steps, mask);
   const std::uint32_t total = out.forward.stats.rounds;
   if (total == 0) {  // single-vertex graph
     out.total_rounds = 0;
@@ -347,9 +358,7 @@ UnitaryEvaluationOutcome evaluate_window_ecc_unitary(
     schedules[e.to][send_round].push_back({port, e.bits});
   }
 
-  congest::NetworkConfig revert_cfg;
-  revert_cfg.bandwidth_bits = congest::Network(g, {}).bandwidth_bits();
-  congest::Network net(g, revert_cfg);
+  Network net(g, revert_cfg);
   net.init_programs([&](NodeId v) {
     return std::make_unique<ScheduleReplayProgram>(std::move(schedules[v]));
   });

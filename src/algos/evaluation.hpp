@@ -130,6 +130,15 @@ EvaluationOutcome evaluate_window_ecc(const graph::Graph& g,
                                       congest::NetworkConfig cfg = {},
                                       const std::vector<bool>* mask = nullptr);
 
+/// The same run on a caller-owned Network over the graph, which is reset
+/// with init_programs: a caller evaluating many u0 on one topology (the
+/// branch oracle) builds the Network once instead of once per branch. The
+/// outcome is identical to a fresh Network built with `net`'s config.
+EvaluationOutcome evaluate_window_ecc(congest::Network& net,
+                                      const TreeState& tree, graph::NodeId u0,
+                                      std::uint32_t steps,
+                                      const std::vector<bool>* mask = nullptr);
+
 /// Executable Step 5 of Figure 2: runs the Evaluation forward while
 /// recording its trace, then *replays the exact message schedule in
 /// reverse* through the network (message at forward round t is re-sent,
@@ -141,7 +150,10 @@ EvaluationOutcome evaluate_window_ecc(const graph::Graph& g,
 ///
 /// Returns the forward outcome plus the measured revert statistics; the
 /// unitary Evaluation cost charged by the optimizer (2 * T_eval_forward)
-/// equals forward.rounds + revert.rounds by construction (asserted).
+/// equals forward.rounds + revert.rounds by construction (asserted). The
+/// revert pass runs under the forward pass's effective bandwidth and
+/// BandwidthPolicy, so it certifies the same channels the forward pass
+/// used (with kRecord, both report the same violations).
 struct UnitaryEvaluationOutcome {
   EvaluationOutcome forward;
   congest::RunStats revert_stats;

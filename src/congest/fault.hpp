@@ -104,6 +104,10 @@ class CrashIndex {
     return !down_.empty() && down_[v] != 0;
   }
 
+  /// Number of nodes in [begin, end) that are down in the round last passed
+  /// to refresh(); O(#nodes named by some window).
+  std::uint32_t down_in(graph::NodeId begin, graph::NodeId end) const;
+
  private:
   std::vector<CrashWindow> windows_;
   std::vector<graph::NodeId> touched_;  ///< distinct nodes with windows

@@ -3,7 +3,9 @@
 #include <algorithm>
 #include <atomic>
 #include <barrier>
+#include <bit>
 #include <cassert>
+#include <cstring>
 #include <sstream>
 #include <thread>
 
@@ -53,10 +55,10 @@ std::uint32_t NodeContext::port_to(NodeId v) const {
 
 void NodeContext::send(std::uint32_t port, Message msg) {
   require(port < degree(), "NodeContext::send: port out of range");
-  require(!port_used_[port],
-          "NodeContext::send: at most one message per port per round");
+  std::uint8_t& used = used_[rev_[port]];
+  require(!used, "NodeContext::send: at most one message per port per round");
   outbox_[port] = std::move(msg);
-  port_used_[port] = 1;
+  used = 1;
   ++pending_sends_;  // drained into the quiescence counter per slice
 }
 
@@ -66,10 +68,11 @@ void NodeContext::broadcast(const Message& msg) {
   // port, and broadcast is the hot send primitive of flooding workloads.
   const std::uint32_t deg = degree();
   for (std::uint32_t p = 0; p < deg; ++p) {
-    require(!port_used_[p],
+    std::uint8_t& used = used_[rev_[p]];
+    require(!used,
             "NodeContext::send: at most one message per port per round");
     outbox_[p] = msg;
-    port_used_[p] = 1;
+    used = 1;
   }
   pending_sends_ += deg;
 }
@@ -135,29 +138,35 @@ Network::Network(const graph::Graph& g, NetworkConfig cfg)
     adjacency[v].assign(nb.begin(), nb.end());
   }
   // Validates sortedness and symmetry of every adjacency list, then gives
-  // delivery O(1) access to the sender's outbox slot for each edge.
+  // every directed edge O(1) access to its reverse.
   const auto reverse_ports = build_reverse_ports(adjacency);
-  out_base_.resize(g.n());
+  out_base_.resize(static_cast<std::size_t>(g.n()) + 1);
   std::uint32_t slots = 0;
   for (NodeId v = 0; v < g.n(); ++v) {
     out_base_[v] = slots;
     slots += static_cast<std::uint32_t>(adjacency[v].size());
   }
+  out_base_[g.n()] = slots;
   outbox_flat_.resize(slots);
-  port_used_flat_.assign(slots, 0);
+  used_flat_.assign(slots, 0);
+  rev_.resize(slots);
+  nbr_flat_.resize(slots);
+  for (NodeId v = 0; v < g.n(); ++v) {
+    for (std::size_t p = 0; p < adjacency[v].size(); ++p) {
+      rev_[out_base_[v] + p] = out_base_[adjacency[v][p]] + reverse_ports[v][p];
+      nbr_flat_[out_base_[v] + p] = adjacency[v][p];
+    }
+  }
   for (NodeId v = 0; v < g.n(); ++v) {
     auto& ctx = contexts_[v];
     ctx.id_ = v;
     ctx.n_ = g.n();
-    ctx.neighbors_ = std::move(adjacency[v]);
+    ctx.round_ = round_.get();
+    ctx.neighbors_ = std::span<const NodeId>(nbr_flat_.data() + out_base_[v],
+                                             adjacency[v].size());
     ctx.outbox_ = outbox_flat_.data() + out_base_[v];
-    ctx.port_used_ = port_used_flat_.data() + out_base_[v];
-    // Fuse the reverse-port table with the flat-slot offsets: the slot
-    // receiver v pulls from on port p is one array index away.
-    ctx.in_slot_.resize(ctx.neighbors_.size());
-    for (std::size_t p = 0; p < ctx.neighbors_.size(); ++p) {
-      ctx.in_slot_[p] = out_base_[ctx.neighbors_[p]] + reverse_ports[v][p];
-    }
+    ctx.rev_ = rev_.data() + out_base_[v];
+    ctx.used_ = used_flat_.data();
     ctx.quiesce_ = quiesce_.get();
   }
   reseed_node_rngs();
@@ -176,14 +185,16 @@ void Network::init_programs(
     require(programs_[v] != nullptr,
             "Network::init_programs: factory returned null");
     auto& ctx = contexts_[v];
-    ctx.round_ = 0;
+    // The round counter restarts below, so a stamp left by the previous
+    // run may match a round of the next one; an emptied inbox reads the
+    // same whatever its stamp.
     ctx.inbox_.clear();
     ctx.pending_sends_ = 0;
     ctx.halted_ = false;
   }
   // A mid-run re-init may leave queued-but-undelivered slots behind; wipe
   // the flat flags so the self-clearing invariant restarts from empty.
-  std::fill(port_used_flat_.begin(), port_used_flat_.end(), std::uint8_t{0});
+  std::fill(used_flat_.begin(), used_flat_.end(), std::uint8_t{0});
   quiesce_->inflight.store(0, std::memory_order_relaxed);
   quiesce_->halted.store(0, std::memory_order_relaxed);
   memory_audit_ = true;
@@ -192,7 +203,7 @@ void Network::init_programs(
   // bit-for-bit (the constructor seeds identically, so run one after
   // construction is unaffected).
   reseed_node_rngs();
-  round_ = 0;
+  *round_ = 0;
   stats_ = RunStats{};
   started_ = false;
 }
@@ -201,7 +212,7 @@ bool Network::all_quiet_scan() const {
   for (NodeId v = 0; v < n(); ++v) {
     if (!contexts_[v].halted_) return false;
   }
-  for (const std::uint8_t used : port_used_flat_) {
+  for (const std::uint8_t used : used_flat_) {
     if (used) return false;
   }
   return true;
@@ -224,77 +235,125 @@ bool Network::all_quiet() const {
 void Network::deliver_range(std::uint32_t begin, std::uint32_t end,
                             RunStats& local,
                             std::vector<PendingDelivery>* sink) {
-  // Receiver-driven delivery: node w pulls, in port order, the message its
-  // neighbor queued for it last round. Port-order assembly makes the inbox
-  // deterministic regardless of engine or thread count. Observer events
-  // either fire inline (sequential engine, sink == nullptr) or are
-  // buffered per worker and flushed in receiver order at the round
-  // barrier — the same (round, to, from) order either way. Fault decisions
-  // are stateless hashes of (seed, round, from, to), so they are the same
-  // under both engines as well. Crash checks go through the per-round
-  // CrashIndex (refreshed at round start) instead of scanning the crash
-  // list per edge.
+  // Receiver-driven delivery over the receiver-ordered used flags of
+  // [begin, end): flag f = out_base_[w] + p is set iff w's neighbor on port
+  // p queued a message for w last round, held in the sender-ordered slot
+  // rev_[f]. The pass scans the flags in index order — i.e. in (receiver,
+  // port) order, which makes inboxes and the observer event stream
+  // deterministic regardless of engine or thread count — and skips idle
+  // flag words 8 bytes at a time, so a round costs its messages plus a
+  // word scan, and a node with no mail is never touched: its inbox() is
+  // empty because its inbox stamp is stale (NodeContext::inbox_round_).
   //
-  // The common path is allocation-free and O(1) per edge: the sender's
-  // outbox slot is one flat array index away (in_slot_, the precomputed
-  // reverse-port table fused with the slot offsets — no binary search, no
-  // detour through the sender's NodeContext) and is *moved* into the
-  // receiver's inbox — each directed edge has exactly one receiver, so the
-  // slot is consumed exactly once per round; the receiver clears the used
-  // flag as it consumes, and the sender only writes it again on the far
-  // side of a round barrier. Only bandwidth truncation builds a new
-  // message; fault corruption flips a bit in the inbox slot in place.
-  // Consumed messages are counted locally and drained into the quiescence
-  // counter once per call, not once per message.
-  // Loop-invariant members hoisted into locals: the compiler cannot keep
-  // them in registers itself because the opaque calls in the loop body
-  // (observer virtual call, inbox growth) could alias any member.
+  // Observer events either fire inline (sequential engine, sink ==
+  // nullptr) or are buffered per worker and flushed in receiver order at
+  // the round barrier — the same (round, to, from) order either way. Fault
+  // decisions are stateless hashes of (seed, round, from, to), so they are
+  // the same under both engines as well. Crash checks go through the
+  // per-round CrashIndex (refreshed at round start).
+  //
+  // Each queued message is *moved* into the receiver's inbox — each
+  // directed edge has exactly one receiver, so the slot is consumed
+  // exactly once per round; the receiver clears the flag as it consumes,
+  // and the sender only sets it again on the far side of a round barrier.
+  // Only bandwidth truncation builds a new message; fault corruption flips
+  // a bit in the inbox slot in place. Consumed messages are counted locally
+  // and drained into the quiescence counter once per call. The common path
+  // is allocation-free.
+  //
+  // Word loads stay inside this call's own flags (the last few are read
+  // byte by byte), so parallel workers scanning adjacent receiver ranges
+  // never touch each other's flags.
+  //
+  // Loop-invariant members are hoisted into locals: the compiler cannot
+  // keep them in registers itself because the opaque calls in the loop
+  // body (observer virtual call, inbox growth) could alias any member.
   const FaultPlan& fault = cfg_.fault;
   const bool fault_enabled = fault_enabled_;
-  const std::uint32_t round = round_;
+  const std::uint32_t round = *round_;
   const std::uint32_t bandwidth_bits = bandwidth_bits_;
-  std::uint8_t* const port_used = port_used_flat_.data();
+  std::uint8_t* const used = used_flat_.data();
+  const std::uint32_t* const rev = rev_.data();
+  const NodeId* const nbr = nbr_flat_.data();
+  const std::uint32_t* const base = out_base_.data();
   Message* const outbox = outbox_flat_.data();
   DeliveryObserver* const observer = cfg_.observer.get();
+  if (fault_enabled) {
+    local.crashed_node_rounds += crash_index_.down_in(begin, end);
+  }
+
+  const std::uint32_t hi = base[end];
+  NodeId w = begin;            // receiver owning the flags being delivered
+  NodeContext* ctx = nullptr;  // &contexts_[w] once w's mail was seen
+  bool w_crashed = false;
   std::int64_t consumed = 0;
-  for (NodeId w = begin; w < end; ++w) {
-    auto& ctx = contexts_[w];
-    ctx.round_ = round;
-    ctx.inbox_.clear();
-    const bool w_crashed = fault_enabled && crash_index_.down(w);
-    if (w_crashed) ++local.crashed_node_rounds;
-    const std::uint32_t deg = ctx.degree();
-    for (std::uint32_t p = 0; p < deg; ++p) {
-      const std::uint32_t s = ctx.in_slot_[p];
-      if (!port_used[s]) continue;
-      port_used[s] = 0;
+  for (std::uint32_t f = base[begin]; f < hi;) {
+    // The next batch of set flags: bit 8i of `mail` stands for flag at + i
+    // (flags are 0 or 1). Words are loaded only while 8 flags of this
+    // call's range remain; its last few flags go byte by byte.
+    const std::uint32_t at = f;
+    std::uint64_t mail = 0;
+    if (hi - at >= 8) {
+      f += 8;
+      std::memcpy(&mail, used + at, sizeof mail);
+      if (mail == 0) continue;
+      std::memset(used + at, 0, sizeof mail);
+      if constexpr (std::endian::native == std::endian::big) {
+        mail = __builtin_bswap64(mail);
+      }
+    } else {
+      ++f;
+      if (used[at] == 0) continue;
+      used[at] = 0;
+      mail = 1;
+    }
+    for (; mail != 0; mail &= mail - 1) {
+      const std::uint32_t e =
+          at + static_cast<std::uint32_t>(std::countr_zero(mail) >> 3);
+      if (ctx == nullptr || e >= base[w + 1]) {
+        // First mail of a new receiver: usually the next node, otherwise
+        // binary-search the sorted port offsets. (e >= base[w + 1] and
+        // e < base[end] imply w + 2 <= end.)
+        if (e >= base[w + 1]) {
+          w = e < base[w + 2]
+                  ? w + 1
+                  : static_cast<NodeId>(std::upper_bound(base + w + 2,
+                                                         base + end + 1, e) -
+                                        base - 1);
+        }
+        ctx = &contexts_[w];
+        ctx->inbox_round_ = round;
+        ctx->inbox_.clear();
+        w_crashed = fault_enabled && crash_index_.down(w);
+      }
       ++consumed;
-      const NodeId u = ctx.neighbors_[p];
+      const std::uint32_t p = e - base[w];
+      const NodeId u = nbr[e];
       if (fault_enabled &&
           (w_crashed || crash_index_.down(u) || fault.drops(round, u, w))) {
         ++local.messages_dropped;
         continue;
       }
-      Message& slot = outbox[s];
+      Message& slot = outbox[rev[e]];
       const std::uint32_t sz = slot.size_bits();
       if (sz > bandwidth_bits) [[unlikely]] {
         if (cfg_.policy == BandwidthPolicy::kEnforce) {
           std::ostringstream os;
-          os << "bandwidth violation: " << sz << " bits on edge " << u << "->"
-             << w << " in round " << round_ << " (bw=" << bandwidth_bits_
-             << ")";
+          os << "bandwidth violation: " << sz << " bits on edge " << u
+             << "->" << w << " in round " << round
+             << " (bw=" << bandwidth_bits << ")";
           throw BandwidthViolationError(os.str());
         }
         ++local.violations;
         if (cfg_.policy == BandwidthPolicy::kTruncate) {
-          ctx.inbox_.emplace_back(p, slot.truncated(bandwidth_bits_));
+          ctx->inbox_.emplace_back(p, slot.truncated(bandwidth_bits));
         } else {
-          ctx.inbox_.emplace_back(p, std::move(slot));
+          ctx->inbox_.emplace_back(p, std::move(slot));
         }
       } else {
-        ctx.inbox_.emplace_back(p, std::move(slot));
+        ctx->inbox_.emplace_back(p, std::move(slot));
       }
-      Message& delivered = ctx.inbox_.back().msg;
+      Message& delivered = ctx->inbox_.back().msg;
       if (fault_enabled && fault.corrupts(round, u, w)) {
         fault.corrupt_in_place(delivered, round, u, w);
         ++local.messages_corrupted;
@@ -306,13 +365,13 @@ void Network::deliver_range(std::uint32_t begin, std::uint32_t end,
       if (observer != nullptr) {
         if (sink != nullptr) {
           sink->push_back(PendingDelivery{
-              u, w, static_cast<std::uint32_t>(ctx.inbox_.size() - 1)});
+              u, w, static_cast<std::uint32_t>(ctx->inbox_.size() - 1)});
         } else {
           observer->on_deliver(u, w, delivered, round);
         }
       }
-      if (ctx.halted_) {  // a message re-activates a halted node
-        ctx.halted_ = false;
+      if (ctx->halted_) {  // a message re-activates a halted node
+        ctx->halted_ = false;
         quiesce_->halted.fetch_sub(1, std::memory_order_relaxed);
       }
     }
@@ -332,7 +391,7 @@ void Network::compute_range(std::uint32_t begin, std::uint32_t end) {
   for (NodeId v = begin; v < end; ++v) {
     auto& ctx = contexts_[v];
     if (fault_enabled_ && crash_index_.down(v)) continue;
-    if (ctx.halted_ && ctx.inbox_.empty()) continue;
+    if (ctx.halted_ && ctx.inbox().empty()) continue;
     programs_[v]->on_round(ctx);
     sends += ctx.pending_sends_;
     ctx.pending_sends_ = 0;
@@ -343,8 +402,8 @@ void Network::compute_range(std::uint32_t begin, std::uint32_t end) {
 }
 
 void Network::step_round(RunStats& phase) {
-  ++round_;
-  if (fault_enabled_) crash_index_.refresh(round_);
+  const std::uint32_t round = ++*round_;
+  if (fault_enabled_) crash_index_.refresh(round);
   RunStats local;
   deliver_range(0, n(), local, /*sink=*/nullptr);
   compute_range(0, n());
@@ -355,7 +414,7 @@ void Network::step_round(RunStats& phase) {
     }
     // Every program reported "not audited" in the first round: stop paying
     // the per-round virtual-call sweep (see NodeProgram::memory_bits).
-    if (round_ == 1 && local.max_node_memory_bits == 0) memory_audit_ = false;
+    if (round == 1 && local.max_node_memory_bits == 0) memory_audit_ = false;
   }
   local.rounds = 1;
   phase += local;
@@ -395,7 +454,7 @@ std::uint32_t Network::run_parallel_block(std::uint32_t max_rounds,
         // wrote their local[] maxima before the round-end barrier, so
         // thread 0 may read them here race-free (see step_round for the
         // sequential twin of this rule).
-        if (memory_audit_ && round_ == 1) {
+        if (memory_audit_ && *round_ == 1) {
           std::uint64_t mx = 0;
           for (const auto& l : local) {
             mx = std::max(mx, l.max_node_memory_bits);
@@ -404,9 +463,9 @@ std::uint32_t Network::run_parallel_block(std::uint32_t max_rounds,
         }
         if (until_quiet && all_quiet()) done.store(true);
         if (!done.load()) {
-          ++round_;
+          ++*round_;
           executed.fetch_add(1);
-          if (fault_enabled_) crash_index_.refresh(round_);
+          if (fault_enabled_) crash_index_.refresh(*round_);
         }
       }
       sync.arrive_and_wait();  // round_ / crash index / stop decision visible
@@ -425,7 +484,7 @@ std::uint32_t Network::run_parallel_block(std::uint32_t max_rounds,
             for (const auto& ev : buf) {
               cfg_.observer->on_deliver(
                   ev.from, ev.to, contexts_[ev.to].inbox_[ev.inbox_index].msg,
-                  round_);
+                  *round_);
             }
             buf.clear();
           }
@@ -464,7 +523,7 @@ std::uint32_t Network::run_parallel_block(std::uint32_t max_rounds,
   // A block that ended right after round 1 never reached the top-of-round
   // decision point; settle the memory-audit question here so later phases
   // skip the sweep too.
-  if (memory_audit_ && round_ == 1 && merged.max_node_memory_bits == 0) {
+  if (memory_audit_ && *round_ == 1 && merged.max_node_memory_bits == 0) {
     memory_audit_ = false;
   }
   phase += merged;
@@ -498,8 +557,8 @@ void Network::shard_start_range(std::uint32_t begin, std::uint32_t end) {
 }
 
 void Network::shard_begin_round() {
-  ++round_;
-  if (fault_enabled_) crash_index_.refresh(round_);
+  ++*round_;
+  if (fault_enabled_) crash_index_.refresh(*round_);
 }
 
 std::uint64_t Network::shard_memory_max_range(std::uint32_t begin,
@@ -512,17 +571,17 @@ std::uint64_t Network::shard_memory_max_range(std::uint32_t begin,
 }
 
 Message Network::shard_extract_slot(std::uint32_t slot) {
-  require(slot < outbox_flat_.size() && port_used_flat_[slot] != 0,
+  require(slot < outbox_flat_.size() && used_flat_[rev_[slot]] != 0,
           "Network::shard_extract_slot: slot is not queued");
-  port_used_flat_[slot] = 0;
+  used_flat_[rev_[slot]] = 0;
   return std::move(outbox_flat_[slot]);  // move resets the slot to empty
 }
 
-void Network::shard_inject_slot(std::uint32_t slot, Message msg) {
-  require(slot < outbox_flat_.size() && port_used_flat_[slot] == 0,
+void Network::shard_inject_slot(std::uint32_t slot, const Message& msg) {
+  require(slot < outbox_flat_.size() && used_flat_[rev_[slot]] == 0,
           "Network::shard_inject_slot: slot is already queued");
-  outbox_flat_[slot] = std::move(msg);
-  port_used_flat_[slot] = 1;
+  outbox_flat_[slot] = msg;
+  used_flat_[rev_[slot]] = 1;
 }
 
 void Network::start_if_needed() {

@@ -70,10 +70,16 @@ class NodeContext {
   std::uint32_t id_bits() const { return qc::bit_width_for(n_); }
 
   /// Current round, starting at 1 for the first round with deliveries.
-  std::uint32_t round() const { return round_; }
+  std::uint32_t round() const { return *round_; }
 
-  /// Messages delivered this round (sent by neighbors last round).
-  std::span<const Incoming> inbox() const { return inbox_; }
+  /// Messages delivered this round (sent by neighbors last round). The
+  /// stored inbox is stamped with the round that filled it; a node that
+  /// received nothing this round sees an empty inbox without delivery ever
+  /// touching its context.
+  std::span<const Incoming> inbox() const {
+    if (inbox_round_ != *round_) return {};
+    return inbox_;
+  }
 
   /// Queues a message on `port` for delivery next round. At most one
   /// message per port per round.
@@ -104,27 +110,26 @@ class NodeContext {
   friend class Network;
   NodeId id_ = 0;
   std::uint32_t n_ = 0;
-  std::uint32_t round_ = 0;
-  std::vector<NodeId> neighbors_;
+  /// The Network's round counter (heap-held, so the pointer survives
+  /// Network moves); every context reads the same word instead of the
+  /// delivery pass writing a copy into each of them per round.
+  const std::uint32_t* round_ = nullptr;
+  /// Round in which inbox_ was last filled; inbox() hides a stale inbox.
+  std::uint32_t inbox_round_ = 0;
+  /// This node's ports' neighbors: a slice of the Network's nbr_flat_.
+  std::span<const NodeId> neighbors_;
   std::vector<Incoming> inbox_;
-  /// This node's slice [0, degree) of the Network's flat directed-edge
-  /// outbox storage (outbox_flat_ / port_used_flat_): one Message slot and
-  /// one used flag per port. Flat storage keeps every sender slot a
-  /// receiver pulls from one array index away (see in_slot_) instead of
-  /// three dependent loads through the sender's NodeContext. Flags are
-  /// uint8_t, not vector<bool>: the delivery loop sits on these
-  /// reads/writes and bit-proxy accesses are measurably slower than byte
-  /// loads. Raw pointers stay valid across Network moves (vector storage
-  /// is stable); the arrays are sized once at construction.
+  /// This node's slice [0, degree) of the Network's flat outbox storage
+  /// (sender order: port p queues into outbox_[p]) and of its rev table
+  /// (rev_[p] is the receiver-order index of that directed edge). A send
+  /// on port p stores the message in outbox_[p] and raises the receiver's
+  /// used flag used_[rev_[p]]; used_ is the base of the whole flag array,
+  /// which is in receiver order. Raw pointers stay valid across Network
+  /// moves (vector storage is stable); the arrays are sized once at
+  /// construction.
   Message* outbox_ = nullptr;
-  std::uint8_t* port_used_ = nullptr;
-  /// in_slot_[p] is the flat index of the outbox slot on neighbors_[p]
-  /// that targets this node: out_base[neighbor] + reverse port, with the
-  /// reverse port precomputed from the sorted-adjacency invariant (see
-  /// build_reverse_ports). Lets delivery find the sender's slot in O(1)
-  /// with a single indirection instead of binary-searching port_to per
-  /// edge per round.
-  std::vector<std::uint32_t> in_slot_;
+  const std::uint32_t* rev_ = nullptr;
+  std::uint8_t* used_ = nullptr;
   /// Messages queued by this node since the last counter flush. Owner-
   /// thread-only plain counter; compute_range drains it into
   /// QuiesceCounters::inflight in one batched atomic per slice.
@@ -347,7 +352,7 @@ class Network {
   /// Advances to the next round (round_+1) and refreshes the crash index,
   /// exactly as step_round's round prologue does.
   void shard_begin_round();
-  std::uint32_t shard_round() const { return round_; }
+  std::uint32_t shard_round() const { return *round_; }
 
   void shard_deliver_range(std::uint32_t begin, std::uint32_t end,
                            RunStats& local,
@@ -370,10 +375,13 @@ class Network {
     return static_cast<std::uint32_t>(outbox_flat_.size());
   }
   /// First flat outbox slot of node v; v's port p queues into slot
-  /// shard_out_base(v) + p.
+  /// shard_out_base(v) + p. Slot ids are sender-ordered; the used flag of
+  /// slot s lives at the receiver-ordered index shard_flag_of(s).
   std::uint32_t shard_out_base(NodeId v) const { return out_base_[v]; }
-  bool shard_slot_pending(std::uint32_t slot) const {
-    return port_used_flat_[slot] != 0;
+  std::uint32_t shard_flag_of(std::uint32_t slot) const { return rev_[slot]; }
+  /// True iff the slot whose flag index is `flag` holds a queued message.
+  bool shard_flag_pending(std::uint32_t flag) const {
+    return used_flat_[flag] != 0;
   }
   /// Moves a queued message out of `slot` and clears its flag. Does NOT
   /// decrement the inflight counter: the message is still in flight (its
@@ -389,13 +397,13 @@ class Network {
   /// message's spill capacity (Message::clear). Same quiescence-counter
   /// contract as shard_extract_slot: the in-flight count is untouched.
   void shard_clear_slot(std::uint32_t slot) {
-    port_used_flat_[slot] = 0;
+    used_flat_[rev_[slot]] = 0;
     outbox_flat_[slot].clear();
   }
-  /// Places a boundary message into `slot` (which must be free) and sets
-  /// its flag. Does NOT increment inflight: the sender's worker already
-  /// counted the send.
-  void shard_inject_slot(std::uint32_t slot, Message msg);
+  /// Copies a boundary message into `slot` (which must be free; the copy
+  /// reuses the slot's spill capacity) and sets its flag. Does NOT
+  /// increment inflight: the sender's worker already counted the send.
+  void shard_inject_slot(std::uint32_t slot, const Message& msg);
 
   std::int64_t shard_inflight() const {
     return quiesce_->inflight.load(std::memory_order_relaxed);
@@ -445,19 +453,37 @@ class Network {
   /// O(1) per-check crash lookup, refreshed once per round (the hot
   /// delivery loop would otherwise scan the crash list per edge).
   CrashIndex crash_index_;
-  std::uint32_t round_ = 0;
+  /// Heap-allocated so NodeContext's raw pointer stays valid if the
+  /// Network object itself moves.
+  std::unique_ptr<std::uint32_t> round_ = std::make_unique<std::uint32_t>(0);
   std::vector<std::unique_ptr<NodeProgram>> programs_;
   std::vector<NodeContext> contexts_;
-  /// Flat directed-edge outbox storage: slot out_base_[u] + q holds the
-  /// message node u queued on its port q. Receivers consume slots through
-  /// NodeContext::in_slot_ and clear the used flag as they do — every
+  /// Directed edge storage. Edge u->w, on u's port q and w's port p, has
+  /// the sender-order index s = out_base_[u] + q and the receiver-order
+  /// index f = out_base_[w] + p; rev_ maps each to the other (rev_[s] == f,
+  /// rev_[f] == s, so it is its own inverse), precomputed from
+  /// build_reverse_ports. out_base_ has n + 1 entries, so node w's ports
+  /// are the contiguous range [out_base_[w], out_base_[w + 1]) in either
+  /// order.
+  ///
+  /// outbox_flat_[s] holds the message u queued on port q (sender order,
+  /// so senders write their own contiguous slice). used_flat_[f] is set
+  /// by the sender and cleared by the receiver as it consumes the message
+  /// (receiver order, so the delivery pass reads the flags in the order it
+  /// assembles inboxes and skips idle flag words 8 bytes at a time). Every
   /// queued slot is examined by its unique receiver each round (delivered
   /// or dropped), so the flags are self-clearing and no per-round reset
-  /// pass exists. In the parallel engine workers write flags of slots
-  /// outside their node slice, but each slot has exactly one receiver and
-  /// sender-side writes are on the far side of a round barrier.
+  /// pass exists. In the parallel engine senders write flags inside other
+  /// workers' receiver ranges, but each flag has exactly one sender and one
+  /// receiver, and the writes and reads are on opposite sides of a round
+  /// barrier.
   std::vector<Message> outbox_flat_;
-  std::vector<std::uint8_t> port_used_flat_;
+  std::vector<std::uint8_t> used_flat_;
+  std::vector<std::uint32_t> rev_;
+  /// nbr_flat_[out_base_[w] + p] is w's neighbor on port p (the sender of
+  /// the message behind flag out_base_[w] + p); NodeContext::neighbors_
+  /// views its node's slice.
+  std::vector<NodeId> nbr_flat_;
   std::vector<std::uint32_t> out_base_;
   /// Heap-allocated so NodeContext's raw pointer stays valid if the
   /// Network object itself moves.

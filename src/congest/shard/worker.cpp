@@ -66,10 +66,12 @@ class WorkerState {
     }
 
     // Outbound boundary slots (owned sender -> foreign receiver) grouped
-    // by the receiver's shard — the mesh segment they ship through — and
-    // the set of slots boundary traffic may inject into (foreign sender ->
-    // owned receiver). Anything outside that set arriving over any
-    // transport is a protocol violation.
+    // by the receiver's shard — the mesh segment they ship through — each
+    // with its receiver-ordered flag index, so the per-round pending scans
+    // read this list in order instead of going through the replica's rev
+    // table; and the set of slots boundary traffic may inject into
+    // (foreign sender -> owned receiver). Anything outside that set
+    // arriving over any transport is a protocol violation.
     out_slots_.resize(l.shards);
     inbound_ok_.assign(net_.shard_slot_count(), 0);
     for (const auto& [b, e] : asn.runs[link_.shard]) {
@@ -78,7 +80,10 @@ class WorkerState {
         const std::uint32_t base = net_.shard_out_base(u);
         for (std::uint32_t p = 0; p < nb.size(); ++p) {
           const std::uint32_t t = asn.shard_of[nb[p]];
-          if (t != link_.shard) out_slots_[t].push_back(base + p);
+          if (t != link_.shard) {
+            out_slots_[t].push_back(
+                OutSlot{base + p, net_.shard_flag_of(base + p)});
+          }
         }
         for (const NodeId v : nb) {
           if (asn.shard_of[v] == link_.shard) continue;
@@ -212,17 +217,17 @@ class WorkerState {
       MeshRing& ring = mesh_out_[t];
       MeshWriter w(ring.produce_buffer(consume_round), consume_round);
       bool fits = true;
-      for (const std::uint32_t slot : out_slots_[t]) {
-        if (!net_.shard_slot_pending(slot)) continue;
-        if (!w.add(slot, net_.shard_slot_message(slot))) {
+      for (const OutSlot& o : out_slots_[t]) {
+        if (!net_.shard_flag_pending(o.flag)) continue;
+        if (!w.add(o.slot, net_.shard_slot_message(o.slot))) {
           fits = false;
           break;
         }
       }
       std::size_t len = 0;
       if (fits && w.finish(len)) {
-        for (const std::uint32_t slot : out_slots_[t]) {
-          if (net_.shard_slot_pending(slot)) net_.shard_clear_slot(slot);
+        for (const OutSlot& o : out_slots_[t]) {
+          if (net_.shard_flag_pending(o.flag)) net_.shard_clear_slot(o.slot);
         }
         boundary_bytes_ += len;
         boundary_msgs_ += w.count();
@@ -236,9 +241,9 @@ class WorkerState {
       require(empty.finish(len), "shard worker: mesh segment too small for "
                                  "an empty batch");
       ring.publish(consume_round, len);
-      for (const std::uint32_t slot : out_slots_[t]) {
-        if (!net_.shard_slot_pending(slot)) continue;
-        spill.push_back(BoundaryMsg{slot, net_.shard_extract_slot(slot)});
+      for (const OutSlot& o : out_slots_[t]) {
+        if (!net_.shard_flag_pending(o.flag)) continue;
+        spill.push_back(BoundaryMsg{o.slot, net_.shard_extract_slot(o.slot)});
         boundary_bytes_ += 8 + 9 * spill.back().msg.num_fields();
         ++boundary_msgs_;
       }
@@ -290,7 +295,7 @@ class WorkerState {
     // the transports apart, which is why parity is transport-independent.
     for (auto& bm : rb_.boundary) {
       check_inbound(bm.slot);
-      net_.shard_inject_slot(bm.slot, std::move(bm.msg));
+      net_.shard_inject_slot(bm.slot, bm.msg);
       slow_path_ = true;
     }
     drain_mesh(rb_.round);
@@ -380,7 +385,13 @@ class WorkerState {
   std::vector<MeshRing> mesh_in_;
   std::vector<std::uint32_t> out_peers_;
   std::vector<std::uint32_t> in_peers_;
-  std::vector<std::vector<std::uint32_t>> out_slots_;
+  /// An outbound boundary slot: sender-ordered slot id (what the wire
+  /// carries) and receiver-ordered flag index (where its pending bit is).
+  struct OutSlot {
+    std::uint32_t slot;
+    std::uint32_t flag;
+  };
+  std::vector<std::vector<OutSlot>> out_slots_;
   std::vector<std::uint8_t> inbound_ok_;
 
   RoundBeginFrame rb_;

@@ -92,8 +92,21 @@ std::int64_t WindowOracle::operator()(std::size_t u0) {
   const std::uint32_t reference = seg_max_.max_ecc_in_segment(node, steps_);
   if (mode_ == OracleMode::kSimulate || !validated_once_) {
     metrics::ScopedTimer span("core.branch_simulate");
-    auto eval = algos::evaluate_window_ecc(*g_, *tree_, node, steps_, net_,
+    std::unique_ptr<congest::Network> net;
+    {
+      std::lock_guard<std::mutex> lock(idle_mu_);
+      if (!idle_.empty()) {
+        net = std::move(idle_.back());
+        idle_.pop_back();
+      }
+    }
+    if (net == nullptr) net = std::make_unique<congest::Network>(*g_, net_);
+    auto eval = algos::evaluate_window_ecc(*net, *tree_, node, steps_,
                                            mask_.empty() ? nullptr : &mask_);
+    {
+      std::lock_guard<std::mutex> lock(idle_mu_);
+      idle_.push_back(std::move(net));
+    }
     span.add(eval.stats.rounds, eval.stats.messages, eval.stats.bits);
     check_internal(eval.stats.rounds == t_eval_forward_,
                    "WindowOracle: evaluation round budget mismatch");

@@ -6,6 +6,8 @@
 
 #include <atomic>
 #include <cstdint>
+#include <memory>
+#include <mutex>
 #include <vector>
 
 #include "algos/evaluation.hpp"
@@ -61,9 +63,13 @@ void record_quantum_costs(const char* algo, const qsim::SearchCosts& costs,
 /// simulation, its round accounting, and the kSimulate cross-check are
 /// untouched and stay bit-identical.
 ///
-/// operator() is safe to call from several threads at once (each branch
-/// simulation builds its own Network over the shared read-only graph and
-/// tree), so a core::BranchEvaluator can fan branches across workers.
+/// operator() is safe to call from several threads at once, so a
+/// core::BranchEvaluator can fan branches across workers. Each call takes
+/// an idle Network over the shared read-only graph from the oracle's pool
+/// (building one only when every pooled Network is busy), resets it with
+/// init_programs for its branch and returns it afterwards — so the oracle
+/// builds one Network per concurrent branch worker instead of one per
+/// branch.
 class WindowOracle {
  public:
   /// `num_threads` fans the engine's one-time eccentricity sweep across
@@ -94,6 +100,8 @@ class WindowOracle {
   graph::EccEngine::SegmentMax seg_max_;
   std::uint32_t t_eval_forward_ = 0;
   std::atomic<bool> validated_once_{false};
+  std::mutex idle_mu_;
+  std::vector<std::unique_ptr<congest::Network>> idle_;  ///< guarded by idle_mu_
 };
 
 }  // namespace qc::core::detail

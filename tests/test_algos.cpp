@@ -275,6 +275,21 @@ TEST(UnitaryEvaluation, MatchesOptimizerCharge) {
   EXPECT_EQ(out.total_rounds, 2ULL * t_eval_forward);
 }
 
+TEST(UnitaryEvaluation, RevertUsesForwardBandwidthAndPolicy) {
+  // Under a narrow recorded bandwidth the forward pass overflows some
+  // channels; the mirrored revert pass moves the same sizes over the same
+  // channels, so it must report exactly the same violations.
+  auto g = random_graph(40, 8, 61);
+  auto tree = build_bfs_tree(g, 0).tree;
+  congest::NetworkConfig cfg;
+  cfg.bandwidth_bits = 6;
+  cfg.policy = congest::BandwidthPolicy::kRecord;
+  auto out = evaluate_window_ecc_unitary(g, tree, 3, 2 * tree.height, cfg);
+  EXPECT_GT(out.forward.stats.violations, 0u);
+  EXPECT_EQ(out.revert_stats.violations, out.forward.stats.violations);
+  EXPECT_EQ(out.revert_stats.bits, out.forward.stats.bits);
+}
+
 // ---------------------------------------------------------------------------
 // Classical exact diameter (Table 1 row 1).
 // ---------------------------------------------------------------------------

@@ -2,16 +2,23 @@
 // correctness (randomized against port_to, corrupted-adjacency construction
 // failure), the no-heap-allocation-per-delivery invariant (this binary's
 // global allocator is replaced by the counting probe), the incremental
-// quiescence counters, and the memory_bits sweep skip.
+// quiescence counters, the memory_bits sweep skip, sparse receiver-side
+// delivery against a brute-force reference simulator, and Network reuse
+// across Figure 2 branches.
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <memory>
+#include <optional>
+#include <utility>
 #include <vector>
 
+#include "algos/bfs_tree.hpp"
+#include "algos/evaluation.hpp"
 #include "congest/message.hpp"
 #include "congest/network.hpp"
+#include "congest/observer.hpp"
 #include "graph/generators.hpp"
 #include "util/alloc_probe.hpp"
 #include "util/error.hpp"
@@ -290,6 +297,383 @@ TEST(Quiescence, ReinitAfterPartialRunResetsCounters) {
   st = net.run_until_quiescent(5);
   EXPECT_TRUE(st.quiesced);
   EXPECT_EQ(st.rounds, 1u);  // everyone halts in round 1, nothing in flight
+}
+
+// ---------------------------------------------------------------------------
+// Sparse receiver-side delivery vs a brute-force reference simulator.
+//
+// Traffic is a stateless function of (seed, round, sender, port): some send
+// rounds are silent everywhere, otherwise a random subset of ports carries
+// a message of random width. Nodes halt at random and are re-activated by
+// mail. The reference below re-derives every inbox, every on_round call,
+// every RunStats field and the observer event stream by scanning every
+// node and every port every round — no flags, no skipping.
+
+std::uint64_t traffic_hash(std::uint64_t a, std::uint64_t b, std::uint64_t c,
+                           std::uint64_t d) {
+  std::uint64_t h = a * 0x9e3779b97f4a7c15ULL;
+  for (const std::uint64_t x : {b, c, d}) {
+    h ^= x + 0x9e3779b97f4a7c15ULL + (h << 6) + (h >> 2);
+    h *= 0xbf58476d1ce4e5b9ULL;
+    h ^= h >> 31;
+  }
+  return h;
+}
+
+/// Sender u's message on port q in send-round r (0 = on_start), if any.
+std::optional<Message> scheduled(std::uint64_t seed, std::uint32_t r,
+                                 NodeId u, std::uint32_t q) {
+  if (traffic_hash(seed, r, 0, 0) % 4 == 0) return std::nullopt;  // silent
+  const std::uint64_t h = traffic_hash(seed, r, u, q);
+  if (h % 3 != 0) return std::nullopt;
+  Message m;
+  m.push(u, 16).push(r & 0xff, 8);
+  for (std::uint32_t i = 0; i < (h >> 8) % 4; ++i) {
+    const auto width = 1 + static_cast<std::uint32_t>((h >> (12 + 4 * i)) % 12);
+    m.push((h >> (32 + 8 * i)) & ((1u << width) - 1), width);
+  }
+  return m;
+}
+
+bool halts_after(std::uint64_t seed, std::uint32_t r, NodeId u) {
+  return traffic_hash(seed ^ 0x5a5a, r, u, 1) % 3 == 0;
+}
+
+std::uint64_t memory_of(std::uint64_t received) { return 1 + received % 5; }
+
+struct Logged {
+  std::uint32_t round;
+  std::uint32_t port;
+  Message msg;
+  bool operator==(const Logged&) const = default;
+};
+
+struct Event {
+  NodeId from, to;
+  std::uint32_t round;
+  Message msg;
+  bool operator==(const Event&) const = default;
+};
+
+class Chatter : public NodeProgram {
+ public:
+  explicit Chatter(std::uint64_t seed) : seed_(seed) {}
+  void on_start(NodeContext& ctx) override { turn(ctx, 0); }
+  void on_round(NodeContext& ctx) override {
+    ran.push_back(ctx.round());
+    for (const auto& in : ctx.inbox()) {
+      heard.push_back(Logged{ctx.round(), in.port, in.msg});
+    }
+    turn(ctx, ctx.round());
+  }
+  std::uint64_t memory_bits() const override { return memory_of(heard.size()); }
+
+  std::vector<std::uint32_t> ran;
+  std::vector<Logged> heard;
+
+ private:
+  void turn(NodeContext& ctx, std::uint32_t r) {
+    for (std::uint32_t q = 0; q < ctx.degree(); ++q) {
+      if (auto m = scheduled(seed_, r, ctx.id(), q)) ctx.send(q, *m);
+    }
+    if (halts_after(seed_, r, ctx.id())) ctx.vote_halt();
+  }
+  std::uint64_t seed_;
+};
+
+struct Reference {
+  std::vector<std::vector<std::uint32_t>> ran;
+  std::vector<std::vector<Logged>> heard;
+  std::vector<Event> events;
+  RunStats stats;
+  std::uint32_t silent_rounds = 0;  ///< rounds that delivered nothing
+  std::uint32_t stale_skips = 0;    ///< halted, mailed last round, skipped now
+};
+
+Reference simulate_reference(const graph::Graph& g, const NetworkConfig& cfg,
+                             std::uint64_t seed, std::uint32_t rounds) {
+  const std::uint32_t n = g.n();
+  const std::uint32_t bw = cfg.bandwidth_bits;
+  const FaultPlan& plan = cfg.fault;
+  const bool faults = plan.enabled();
+  Reference ref;
+  ref.ran.resize(n);
+  ref.heard.resize(n);
+  std::vector<bool> halted(n, false);
+  std::vector<bool> mailed_last(n, false);
+  // pending[u][q]: what u queued on port q in the last compute phase.
+  std::vector<std::vector<std::optional<Message>>> pending(n);
+  const auto turn = [&](NodeId u, std::uint32_t r) {
+    pending[u].assign(g.degree(u), std::nullopt);
+    for (std::uint32_t q = 0; q < g.degree(u); ++q) {
+      pending[u][q] = scheduled(seed, r, u, q);
+    }
+    if (halts_after(seed, r, u)) halted[u] = true;
+  };
+  for (NodeId u = 0; u < n; ++u) turn(u, 0);
+  for (std::uint32_t r = 1; r <= rounds; ++r) {
+    ++ref.stats.rounds;
+    std::vector<std::vector<Incoming>> inbox(n);
+    std::uint64_t delivered_this_round = 0;
+    for (NodeId w = 0; w < n; ++w) {
+      const bool w_down = faults && plan.crashed(w, r);
+      if (w_down) ++ref.stats.crashed_node_rounds;
+      const auto nb = g.neighbors(w);
+      for (std::uint32_t p = 0; p < nb.size(); ++p) {
+        const NodeId u = nb[p];
+        const auto unb = g.neighbors(u);
+        const auto q = static_cast<std::uint32_t>(
+            std::lower_bound(unb.begin(), unb.end(), w) - unb.begin());
+        if (!pending[u][q]) continue;
+        Message m = std::move(*pending[u][q]);
+        pending[u][q].reset();
+        if (faults && (w_down || plan.crashed(u, r) || plan.drops(r, u, w))) {
+          ++ref.stats.messages_dropped;
+          continue;
+        }
+        if (m.size_bits() > bw) {
+          ++ref.stats.violations;
+          if (cfg.policy == BandwidthPolicy::kTruncate) m = m.truncated(bw);
+        }
+        if (faults && plan.corrupts(r, u, w)) {
+          plan.corrupt_in_place(m, r, u, w);
+          ++ref.stats.messages_corrupted;
+        }
+        ++ref.stats.messages;
+        ++delivered_this_round;
+        ref.stats.bits += m.size_bits();
+        ref.stats.max_edge_bits = std::max(ref.stats.max_edge_bits, m.size_bits());
+        ref.events.push_back(Event{u, w, r, m});
+        inbox[w].push_back(Incoming{p, std::move(m)});
+        halted[w] = false;
+      }
+    }
+    if (delivered_this_round == 0) ++ref.silent_rounds;
+    for (NodeId v = 0; v < n; ++v) {
+      const bool skip = (faults && plan.crashed(v, r)) ||
+                        (halted[v] && inbox[v].empty());
+      if (skip && halted[v] && mailed_last[v]) ++ref.stale_skips;
+      mailed_last[v] = !inbox[v].empty();
+      if (skip) continue;
+      ref.ran[v].push_back(r);
+      for (auto& in : inbox[v]) ref.heard[v].push_back(Logged{r, in.port, in.msg});
+      turn(v, r);
+    }
+    for (NodeId v = 0; v < n; ++v) {
+      ref.stats.max_node_memory_bits =
+          std::max(ref.stats.max_node_memory_bits, memory_of(ref.heard[v].size()));
+    }
+  }
+  bool quiet = std::all_of(halted.begin(), halted.end(), [](bool h) { return h; });
+  for (const auto& slots : pending) {
+    for (const auto& m : slots) quiet = quiet && !m;
+  }
+  ref.stats.quiesced = quiet;
+  return ref;
+}
+
+void expect_same_stats(const RunStats& a, const RunStats& b, const char* what) {
+  EXPECT_EQ(a.rounds, b.rounds) << what;
+  EXPECT_EQ(a.messages, b.messages) << what;
+  EXPECT_EQ(a.bits, b.bits) << what;
+  EXPECT_EQ(a.max_edge_bits, b.max_edge_bits) << what;
+  EXPECT_EQ(a.violations, b.violations) << what;
+  EXPECT_EQ(a.quiesced, b.quiesced) << what;
+  EXPECT_EQ(a.max_node_memory_bits, b.max_node_memory_bits) << what;
+  EXPECT_EQ(a.messages_dropped, b.messages_dropped) << what;
+  EXPECT_EQ(a.messages_corrupted, b.messages_corrupted) << what;
+  EXPECT_EQ(a.crashed_node_rounds, b.crashed_node_rounds) << what;
+}
+
+/// Runs Chatter on `g` for `rounds` rounds and checks it against the
+/// reference; with `move_at` in (0, rounds) the Network is moved to a new
+/// object between two run_rounds calls.
+void check_against_reference(const graph::Graph& g, NetworkConfig cfg,
+                             std::uint64_t seed, std::uint32_t rounds,
+                             std::uint32_t move_at, const char* what) {
+  const Reference ref = simulate_reference(g, cfg, seed, rounds);
+  auto events = std::make_shared<std::vector<Event>>();
+  cfg.observer = std::make_shared<CallbackObserver>(
+      [events](NodeId from, NodeId to, const Message& m, std::uint32_t r) {
+        events->push_back(Event{from, to, r, m});
+      });
+  Network first(g, cfg);
+  first.init_programs(
+      [seed](NodeId) { return std::make_unique<Chatter>(seed); });
+  Network* net = &first;
+  std::optional<Network> moved;
+  if (move_at > 0 && move_at < rounds) {
+    first.run_rounds(move_at);
+    moved.emplace(std::move(first));
+    net = &*moved;
+    net->run_rounds(rounds - move_at);
+  } else {
+    net->run_rounds(rounds);
+  }
+  expect_same_stats(net->stats(), ref.stats, what);
+  for (NodeId v = 0; v < g.n(); ++v) {
+    const auto& prog = net->program_as<Chatter>(v);
+    EXPECT_EQ(prog.ran, ref.ran[v]) << what << ": on_round calls of node " << v;
+    EXPECT_EQ(prog.heard, ref.heard[v]) << what << ": inboxes of node " << v;
+  }
+  EXPECT_TRUE(*events == ref.events) << what << ": observer event stream";
+  // The traffic really exercises the cases the skip logic must get right.
+  EXPECT_GT(ref.silent_rounds, 0u) << what;
+  EXPECT_GT(ref.stale_skips, 0u) << what;
+  EXPECT_GT(ref.stats.messages, 0u) << what;
+}
+
+/// A connected random graph plus one isolated node in the middle of the id
+/// range, so the flag scan crosses zero-degree receivers.
+graph::Graph with_isolated_node(const graph::Graph& base) {
+  const NodeId mid = base.n() / 2;
+  std::vector<graph::Edge> edges;
+  for (const auto& [u, v] : base.edges()) {
+    edges.emplace_back(u >= mid ? u + 1 : u, v >= mid ? v + 1 : v);
+  }
+  return graph::Graph::from_edges(base.n() + 1, std::move(edges));
+}
+
+TEST(SparseDelivery, MatchesBruteForceReferenceOnRandomGraphs) {
+  Rng rng(77);
+  for (int trial = 0; trial < 6; ++trial) {
+    const auto n = static_cast<std::uint32_t>(9 + 13 * trial);
+    auto g = trial % 2 == 0 ? graph::make_connected_er(n, 0.15, rng)
+                            : with_isolated_node(graph::make_random_regular(n + (n & 1), 3, rng));
+    for (const Engine engine : {Engine::kSequential, Engine::kParallel}) {
+      NetworkConfig cfg;
+      cfg.engine = engine;
+      cfg.num_threads = 3;  // worker ranges not aligned to flag words
+      cfg.bandwidth_bits = 40;
+      cfg.policy = trial % 3 == 0 ? BandwidthPolicy::kTruncate
+                                  : BandwidthPolicy::kRecord;
+      check_against_reference(g, cfg, 1000 + trial, 40, 0,
+                              engine == Engine::kSequential ? "seq" : "par");
+    }
+  }
+}
+
+TEST(SparseDelivery, MatchesReferenceUnderFaults) {
+  Rng rng(78);
+  auto g = graph::make_connected_er(41, 0.12, rng);
+  for (const Engine engine : {Engine::kSequential, Engine::kParallel}) {
+    NetworkConfig cfg;
+    cfg.engine = engine;
+    cfg.num_threads = 3;
+    cfg.bandwidth_bits = 40;
+    cfg.policy = BandwidthPolicy::kRecord;
+    cfg.fault.drop_probability = 0.1;
+    cfg.fault.corrupt_probability = 0.1;
+    cfg.fault.seed = 9;
+    cfg.fault.crashes = {CrashWindow{3, 4, 12}, CrashWindow{20, 10, 0}};
+    check_against_reference(g, cfg, 4242, 40, 0,
+                            engine == Engine::kSequential ? "seq" : "par");
+  }
+}
+
+TEST(SparseDelivery, MovedNetworkRunsIdentically) {
+  Rng rng(79);
+  auto g = graph::make_connected_er(30, 0.15, rng);
+  NetworkConfig cfg;
+  cfg.bandwidth_bits = 40;
+  cfg.policy = BandwidthPolicy::kRecord;
+  check_against_reference(g, cfg, 31337, 40, 17, "moved");
+}
+
+TEST(SparseDelivery, MailedThenIdleNodeSeesEmptyInbox) {
+  // Node 0 mails node 1 in round 1 only; node 1 never halts, so it runs in
+  // round 2 with nothing delivered and must not see round 1's message.
+  auto g = graph::make_path(3);
+  class Once : public NodeProgram {
+   public:
+    void on_start(NodeContext& ctx) override {
+      if (ctx.id() == 0) ctx.send(0, Message().push(7, 3));
+    }
+    void on_round(NodeContext& ctx) override {
+      sizes.push_back(ctx.inbox().size());
+    }
+    std::vector<std::size_t> sizes;
+  };
+  Network net(g);
+  net.init_programs([](NodeId) { return std::make_unique<Once>(); });
+  net.run_rounds(3);
+  EXPECT_EQ(net.program_as<Once>(1).sizes, (std::vector<std::size_t>{1, 0, 0}));
+}
+
+TEST(SparseDelivery, HaltedNodeWithStaleInboxStaysSkipped) {
+  // Node 1 halts in round 1 after its only mail; in round 2 nothing is
+  // delivered to it, so compute must skip it although its stored inbox
+  // still holds round 1's message.
+  auto g = graph::make_path(2);
+  class Sleeper : public NodeProgram {
+   public:
+    void on_start(NodeContext& ctx) override {
+      if (ctx.id() == 0) ctx.send(0, Message().push(1, 1));
+      ctx.vote_halt();
+    }
+    void on_round(NodeContext& ctx) override {
+      ran.push_back(ctx.round());
+      ctx.vote_halt();
+    }
+    std::vector<std::uint32_t> ran;
+  };
+  Network net(g);
+  net.init_programs([](NodeId) { return std::make_unique<Sleeper>(); });
+  const RunStats st = net.run_until_quiescent(10);
+  EXPECT_TRUE(st.quiesced);
+  EXPECT_EQ(st.rounds, 1u);
+  net.run_rounds(3);  // keeps running past quiescence: still nobody to run
+  EXPECT_EQ(net.program_as<Sleeper>(1).ran, (std::vector<std::uint32_t>{1}));
+  EXPECT_TRUE(net.program_as<Sleeper>(0).ran.empty());
+}
+
+// ---------------------------------------------------------------------------
+// Network reuse across Figure 2 branches.
+
+TEST(NetworkReuse, ReusedNetworkMatchesFreshNetworks) {
+  Rng rng(2026);
+  auto g = graph::make_random_with_diameter(48, 7, rng);
+  const auto tree = algos::build_bfs_tree(g, 0).tree;
+  const std::uint32_t steps = 2 * tree.height;
+  Network reused(g);
+  for (NodeId u0 = 0; u0 < g.n(); ++u0) {
+    const auto fresh = algos::evaluate_window_ecc(g, tree, u0, steps);
+    const auto again = algos::evaluate_window_ecc(reused, tree, u0, steps);
+    EXPECT_EQ(again.max_ecc, fresh.max_ecc) << "u0=" << u0;
+    EXPECT_EQ(again.window, fresh.window) << "u0=" << u0;
+    EXPECT_EQ(again.tau_prime, fresh.tau_prime) << "u0=" << u0;
+    expect_same_stats(again.stats, fresh.stats, "reused vs fresh");
+  }
+}
+
+TEST(NetworkReuse, NoAllocationsInRunRoundsFromTheSecondBranchOn) {
+  Rng rng(2027);
+  auto g = graph::make_random_with_diameter(64, 8, rng);
+  const auto tree = algos::build_bfs_tree(g, 0).tree;
+  algos::EvaluationProgram::Params p;
+  p.steps = 2 * tree.height;
+  p.pipeline_len = 2 * p.steps + 2 * tree.height + 2;
+  p.tree_height = tree.height;
+  p.n = g.n();
+  const std::uint32_t total =
+      algos::EvaluationProgram::token_phase_rounds(p.steps) + p.pipeline_len +
+      tree.height + 1;
+  Network net(g);
+  for (NodeId u0 = 0; u0 < g.n(); ++u0) {
+    p.u0 = u0;
+    net.init_programs([&](NodeId v) {
+      return std::make_unique<algos::EvaluationProgram>(p, tree.parent[v],
+                                                        tree.depth[v], true);
+    });
+    const std::uint64_t before = qc::alloc_probe_count().load();
+    const RunStats st = net.run_rounds(total);
+    const std::uint64_t after = qc::alloc_probe_count().load();
+    ASSERT_GT(st.messages, 0u);
+    if (u0 > 0) {
+      EXPECT_EQ(after - before, 0u)
+          << "branch u0=" << u0 << " allocated inside run_rounds";
+    }
+  }
 }
 
 }  // namespace
