@@ -18,7 +18,9 @@
 // walking data/synth-p2p-10k.qcg (`--dataset=FILE` to override), so each
 // round carries a few messages on a graph of ~65k directed edges. It is
 // reported per round: what matters there is what a round costs beyond its
-// messages.
+// messages. The `seq_dataset` and `par_dataset` rows flood that same graph,
+// so the two in-process engines are also compared at realistic size, under
+// the same parity gate as `seq` and `par`.
 
 #include <algorithm>
 #include <chrono>
@@ -422,6 +424,12 @@ int main(int argc, char** argv) {
   const std::uint32_t walkers = 8;
   results.push_back(
       {"seq_sparse", run_sparse(sparse_g, walkers, warm, rounds, reps)});
+  results.push_back(
+      {"seq_dataset", run_new(sparse_g, congest::Engine::kSequential, false,
+                              false, opt.seed, warm, rounds, reps)});
+  results.push_back(
+      {"par_dataset", run_new(sparse_g, congest::Engine::kParallel, false,
+                              false, opt.seed, warm, rounds, reps)});
 
   Table t({"config", "ms", "messages", "msgs/sec", "ns/delivery", "ns/round",
            "allocs/delivery"});
@@ -438,6 +446,8 @@ int main(int argc, char** argv) {
   const Result& par = results[4].r;
   const Result& par_fault = results[5].r;
   const Result& sparse = results[6].r;
+  const Result& seq_dataset = results[7].r;
+  const Result& par_dataset = results[8].r;
   const double speedup = seq.msgs_per_sec() / legacy_r.msgs_per_sec();
   std::cout << "\nsequential speedup vs legacy: " << fmt(speedup, 2)
             << "x  (" << fmt(legacy_r.ns_per_delivery(), 1) << " -> "
@@ -455,6 +465,11 @@ int main(int argc, char** argv) {
                      par.total_bits == seq.total_bits &&
                      par.checksum == seq.checksum,
                  "parallel engine disagrees with the sequential engine");
+  check_internal(par_dataset.total_messages == seq_dataset.total_messages &&
+                     par_dataset.total_bits == seq_dataset.total_bits &&
+                     par_dataset.checksum == seq_dataset.checksum,
+                 "parallel engine disagrees with the sequential engine on "
+                 "the dataset");
   check_internal(par_fault.total_messages == seq_fault.total_messages &&
                      par_fault.checksum == seq_fault.checksum,
                  "engines disagree under an active fault plan");

@@ -9,10 +9,43 @@
 #include <sstream>
 #include <thread>
 
-#include "congest/metrics_observer.hpp"
 #include "util/metrics.hpp"
 
 namespace qc::congest {
+
+namespace {
+
+// Bucket bounds of the congest.* histograms (DeliveryTally's array sizes;
+// merge_histogram rejects a mismatch). Deliveries per round grow with n,
+// so the round histograms cover a generous power-of-two range; messages
+// are O(log n) bits, so a finer ladder resolves bandwidth occupancy.
+const std::vector<double> kRoundBounds = {1,    2,    4,     8,     16,
+                                          32,   64,   128,   256,   512,
+                                          1024, 4096, 16384, 65536, 262144};
+const std::vector<double> kBitsBounds = {8,    16,    32,    64,     128,
+                                         256,  1024,  4096,  16384,  65536,
+                                         262144, 1048576, 4194304};
+const std::vector<double> kMessageBitsBounds = {1,  2,  4,  8,  12, 16, 20,
+                                                24, 32, 40, 48, 64, 96, 128};
+
+/// MetricsRegistry::observe's bucket: the first bound >= v, else overflow.
+std::size_t bucket_of(const std::vector<double>& bounds, double v) {
+  return static_cast<std::size_t>(
+      std::lower_bound(bounds.begin(), bounds.end(), v) - bounds.begin());
+}
+
+}  // namespace
+
+void Network::DeliveryTally::add_message(std::uint32_t bits) {
+  ++message_bits[bucket_of(kMessageBitsBounds, bits)];
+}
+
+void Network::DeliveryTally::add_round(std::uint64_t messages,
+                                       std::uint64_t bits) {
+  if (messages == 0) return;
+  ++round_messages[bucket_of(kRoundBounds, static_cast<double>(messages))];
+  ++round_bits[bucket_of(kBitsBounds, static_cast<double>(bits))];
+}
 
 bool neighbors_strictly_sorted(std::span<const graph::NodeId> neighbors) {
   return std::adjacent_find(neighbors.begin(), neighbors.end(),
@@ -123,13 +156,11 @@ Network::Network(const graph::Graph& g, NetworkConfig cfg)
   }
   fault_enabled_ = cfg_.fault.enabled();
   crash_index_ = CrashIndex(cfg_.fault, g.n());
-  if (auto* m = metrics::global()) {
-    // Observe-only: composing the histogram observer into the delivery
-    // seam never alters inboxes, stats or round accounting, so every
-    // execution stays bit-identical to a metrics-off run.
-    metrics_observer_ = std::make_shared<MetricsObserver>(m);
-    cfg_.observer =
-        MultiObserver::combine(std::move(cfg_.observer), metrics_observer_);
+  metrics_ = metrics::global();
+  if (metrics_ != nullptr) {
+    metrics_->register_histogram("congest.round_messages", kRoundBounds);
+    metrics_->register_histogram("congest.round_bits", kBitsBounds);
+    metrics_->register_histogram("congest.message_bits", kMessageBitsBounds);
   }
   contexts_.resize(g.n());
   std::vector<std::vector<NodeId>> adjacency(g.n());
@@ -234,7 +265,8 @@ bool Network::all_quiet() const {
 
 void Network::deliver_range(std::uint32_t begin, std::uint32_t end,
                             RunStats& local,
-                            std::vector<PendingDelivery>* sink) {
+                            std::vector<PendingDelivery>* sink,
+                            DeliveryTally* tally) {
   // Receiver-driven delivery over the receiver-ordered used flags of
   // [begin, end): flag f = out_base_[w] + p is set iff w's neighbor on port
   // p queued a message for w last round, held in the sender-ordered slot
@@ -245,9 +277,10 @@ void Network::deliver_range(std::uint32_t begin, std::uint32_t end,
   // word scan, and a node with no mail is never touched: its inbox() is
   // empty because its inbox stamp is stale (NodeContext::inbox_round_).
   //
-  // Observer events either fire inline (sequential engine, sink ==
-  // nullptr) or are buffered per worker and flushed in receiver order at
-  // the round barrier — the same (round, to, from) order either way. Fault
+  // Observer events go to the sink when one is given (parallel workers
+  // flush it in receiver order at the round barrier, shard workers ship it
+  // to the coordinator), else inline — the same (round, to, from) order
+  // either way. A tally buckets each delivered size; no registry call. Fault
   // decisions are stateless hashes of (seed, round, from, to), so they are
   // the same under both engines as well. Crash checks go through the
   // per-round CrashIndex (refreshed at round start).
@@ -362,13 +395,12 @@ void Network::deliver_range(std::uint32_t begin, std::uint32_t end,
       ++local.messages;
       local.bits += delivered_bits;
       local.max_edge_bits = std::max(local.max_edge_bits, delivered_bits);
-      if (observer != nullptr) {
-        if (sink != nullptr) {
-          sink->push_back(PendingDelivery{
-              u, w, static_cast<std::uint32_t>(ctx->inbox_.size() - 1)});
-        } else {
-          observer->on_deliver(u, w, delivered, round);
-        }
+      if (tally != nullptr) tally->add_message(delivered_bits);
+      if (sink != nullptr) {
+        sink->push_back(PendingDelivery{
+            u, w, static_cast<std::uint32_t>(ctx->inbox_.size() - 1)});
+      } else if (observer != nullptr) {
+        observer->on_deliver(u, w, delivered, round);
       }
       if (ctx->halted_) {  // a message re-activates a halted node
         ctx->halted_ = false;
@@ -401,11 +433,12 @@ void Network::compute_range(std::uint32_t begin, std::uint32_t end) {
   }
 }
 
-void Network::step_round(RunStats& phase) {
+void Network::step_round(RunStats& phase, DeliveryTally* tally) {
   const std::uint32_t round = ++*round_;
   if (fault_enabled_) crash_index_.refresh(round);
   RunStats local;
-  deliver_range(0, n(), local, /*sink=*/nullptr);
+  deliver_range(0, n(), local, /*sink=*/nullptr, tally);
+  if (tally != nullptr) tally->add_round(local.messages, local.bits);
   compute_range(0, n());
   if (memory_audit_) {
     for (NodeId v = 0; v < n(); ++v) {
@@ -421,21 +454,27 @@ void Network::step_round(RunStats& phase) {
 }
 
 std::uint32_t Network::run_parallel_block(std::uint32_t max_rounds,
-                                          bool until_quiet, RunStats& phase) {
+                                          bool until_quiet, RunStats& phase,
+                                          DeliveryTally* tally) {
   const unsigned hw = std::thread::hardware_concurrency();
   const unsigned requested = cfg_.num_threads != 0 ? cfg_.num_threads : hw;
   const unsigned T = std::max(1u, std::min(requested, n() == 0 ? 1u : n()));
   if (T == 1) {
     std::uint32_t executed = 0;
     while (executed < max_rounds && !(until_quiet && all_quiet())) {
-      step_round(phase);
+      step_round(phase, tally);
       ++executed;
     }
     return executed;
   }
 
+  DeliveryObserver* const observer = cfg_.observer.get();
   std::vector<RunStats> local(T);
   std::vector<std::vector<PendingDelivery>> pending(T);
+  // Message sizes are tallied per worker, beside local[]; thread 0 tallies
+  // each round's totals from the growth of the workers' local[] counts.
+  std::vector<DeliveryTally> worker_tally(tally != nullptr ? T : 0);
+  std::uint64_t tallied_messages = 0, tallied_bits = 0;
   std::atomic<bool> done{false};
   std::atomic<std::uint32_t> executed{0};
   std::barrier sync(static_cast<std::ptrdiff_t>(T));
@@ -470,9 +509,22 @@ std::uint32_t Network::run_parallel_block(std::uint32_t max_rounds,
       }
       sync.arrive_and_wait();  // round_ / crash index / stop decision visible
       if (done.load()) break;
-      deliver_range(b, e, local[t], &pending[t]);
+      deliver_range(b, e, local[t], observer != nullptr ? &pending[t] : nullptr,
+                    tally != nullptr ? &worker_tally[t] : nullptr);
       sync.arrive_and_wait();  // all inboxes assembled
-      if (cfg_.observer != nullptr) {
+      if (t == 0 && tally != nullptr) {
+        // Workers write local[].messages/bits only while delivering, so
+        // between this barrier and the next round's they are stable.
+        std::uint64_t messages = 0, bits = 0;
+        for (const auto& l : local) {
+          messages += l.messages;
+          bits += l.bits;
+        }
+        tally->add_round(messages - tallied_messages, bits - tallied_bits);
+        tallied_messages = messages;
+        tallied_bits = bits;
+      }
+      if (observer != nullptr) {
         // Single-threaded flush: workers hold contiguous ascending
         // receiver ranges, so draining buffers in worker order replays
         // the sequential engine's (round, receiver, port) event order
@@ -482,7 +534,7 @@ std::uint32_t Network::run_parallel_block(std::uint32_t max_rounds,
         if (t == 0) {
           for (auto& buf : pending) {
             for (const auto& ev : buf) {
-              cfg_.observer->on_deliver(
+              observer->on_deliver(
                   ev.from, ev.to, contexts_[ev.to].inbox_[ev.inbox_index].msg,
                   *round_);
             }
@@ -519,6 +571,11 @@ std::uint32_t Network::run_parallel_block(std::uint32_t max_rounds,
     merged.messages_corrupted += l.messages_corrupted;
     merged.crashed_node_rounds += l.crashed_node_rounds;
   }
+  for (const auto& wt : worker_tally) {
+    for (std::size_t i = 0; i < wt.message_bits.size(); ++i) {
+      tally->message_bits[i] += wt.message_bits[i];
+    }
+  }
   merged.rounds = executed.load();
   // A block that ended right after round 1 never reached the top-of-round
   // decision point; settle the memory-audit question here so later phases
@@ -528,18 +585,6 @@ std::uint32_t Network::run_parallel_block(std::uint32_t max_rounds,
   }
   phase += merged;
   return executed.load();
-}
-
-void Network::shard_set_observer_collection(bool collect) {
-  metrics_observer_.reset();
-  if (collect) {
-    // Non-null so deliver_range records into the caller's sink; never
-    // invoked directly because shard workers always pass a sink.
-    cfg_.observer = std::make_shared<CallbackObserver>(
-        [](NodeId, NodeId, const Message&, std::uint32_t) {});
-  } else {
-    cfg_.observer = nullptr;
-  }
 }
 
 void Network::shard_start_range(std::uint32_t begin, std::uint32_t end) {
@@ -603,12 +648,14 @@ void Network::start_if_needed() {
 RunStats Network::run_phase(std::uint32_t max_rounds, bool until_quiet) {
   start_if_needed();
   RunStats phase;
+  DeliveryTally phase_tally;
+  DeliveryTally* const tally = metrics_ != nullptr ? &phase_tally : nullptr;
   if (cfg_.engine == Engine::kParallel) {
-    run_parallel_block(max_rounds, until_quiet, phase);
+    run_parallel_block(max_rounds, until_quiet, phase, tally);
   } else {
     std::uint32_t executed = 0;
     while (executed < max_rounds && !(until_quiet && all_quiet())) {
-      step_round(phase);
+      step_round(phase, tally);
       ++executed;
     }
   }
@@ -616,18 +663,22 @@ RunStats Network::run_phase(std::uint32_t max_rounds, bool until_quiet) {
   // network is quiescent *now*, at the end of this call.
   phase.quiesced = all_quiet();
   stats_ += phase;
-  if (metrics_observer_ != nullptr) {
-    metrics_observer_->flush();
-    if (auto* m = metrics::global()) {
-      m->add_counter("congest.phases");
-      m->add_counter("congest.rounds", phase.rounds);
-      m->add_counter("congest.messages", phase.messages);
-      m->add_counter("congest.bits", phase.bits);
-      m->add_counter("congest.messages_dropped", phase.messages_dropped);
-      m->add_counter("congest.messages_corrupted", phase.messages_corrupted);
-      m->add_counter("congest.bandwidth_violations", phase.violations);
-      m->add_counter("congest.crashed_node_rounds", phase.crashed_node_rounds);
-    }
+  if (auto* m = metrics_) {
+    // One fold per phase. Every delivered message, and so every round with
+    // mail, is in phase.messages and phase.bits: those are the sums.
+    const auto bits = static_cast<double>(phase.bits);
+    m->merge_histogram("congest.message_bits", phase_tally.message_bits, bits);
+    m->merge_histogram("congest.round_messages", phase_tally.round_messages,
+                       static_cast<double>(phase.messages));
+    m->merge_histogram("congest.round_bits", phase_tally.round_bits, bits);
+    m->add_counter("congest.phases");
+    m->add_counter("congest.rounds", phase.rounds);
+    m->add_counter("congest.messages", phase.messages);
+    m->add_counter("congest.bits", phase.bits);
+    m->add_counter("congest.messages_dropped", phase.messages_dropped);
+    m->add_counter("congest.messages_corrupted", phase.messages_corrupted);
+    m->add_counter("congest.bandwidth_violations", phase.violations);
+    m->add_counter("congest.crashed_node_rounds", phase.crashed_node_rounds);
   }
   return phase;
 }

@@ -1,5 +1,6 @@
 #pragma once
 
+#include <array>
 #include <atomic>
 #include <cstdint>
 #include <functional>
@@ -15,6 +16,10 @@
 #include "util/bits.hpp"
 #include "util/error.hpp"
 #include "util/rng.hpp"
+
+namespace qc::metrics {
+class MetricsRegistry;
+}  // namespace qc::metrics
 
 namespace qc::congest {
 
@@ -226,7 +231,7 @@ struct NetworkConfig {
   /// engine buffers events per worker and flushes them at the round
   /// barrier in the same (round, receiver, port) order the sequential
   /// engine produces, so observed streams are bit-identical either way.
-  /// Compose several observers with MultiObserver.
+  /// Compose several observers with MultiObserver; metrics never use it.
   std::shared_ptr<DeliveryObserver> observer;
 
   /// Deterministic fault schedule (message drops, bit corruption, node
@@ -337,14 +342,6 @@ class Network {
   // worker injects it into the same slot of its replica, where the normal
   // delivery pass consumes it.
 
-  /// Replaces the observer configuration wholesale: with `collect` true a
-  /// placeholder observer is installed so deliver_range records events into
-  /// the caller's sink (the real observer lives coordinator-side); with
-  /// false observation is disabled entirely. Either way the construction-
-  /// time MetricsObserver is dropped — a worker must not double-report into
-  /// a registry inherited across fork.
-  void shard_set_observer_collection(bool collect);
-
   /// on_start for nodes in [begin, end) — the worker's share of the
   /// one-time start phase; queued sends are counted locally.
   void shard_start_range(std::uint32_t begin, std::uint32_t end);
@@ -357,7 +354,7 @@ class Network {
   void shard_deliver_range(std::uint32_t begin, std::uint32_t end,
                            RunStats& local,
                            std::vector<PendingDelivery>* sink) {
-    deliver_range(begin, end, local, sink);
+    deliver_range(begin, end, local, sink, /*tally=*/nullptr);
   }
   void shard_compute_range(std::uint32_t begin, std::uint32_t end) {
     compute_range(begin, end);
@@ -418,15 +415,30 @@ class Network {
   }
 
  private:
+  /// One phase's bucket counts of the congest.* delivery histograms, one
+  /// overflow bucket past each last bound (bounds in network.cpp). Their
+  /// sums are the phase's RunStats messages and bits.
+  struct DeliveryTally {
+    std::array<std::uint64_t, 15> message_bits{};    ///< per delivered message
+    std::array<std::uint64_t, 16> round_messages{};  ///< per round with mail
+    std::array<std::uint64_t, 14> round_bits{};      ///< per round with mail
+
+    void add_message(std::uint32_t bits);
+    void add_round(std::uint64_t messages, std::uint64_t bits);
+  };
+
   void start_if_needed();
   /// Shared body of run_rounds / run_until_quiescent: executes one phase,
   /// accumulates it into the lifetime stats_, and returns the phase stats.
   RunStats run_phase(std::uint32_t max_rounds, bool until_quiet);
-  void step_round(RunStats& phase);
+  /// One sequential round; with a tally, also its histogram samples.
+  void step_round(RunStats& phase, DeliveryTally* tally);
   void compute_range(std::uint32_t begin, std::uint32_t end);
+  /// Delivers receivers [begin, end)'s mail. Each delivery goes to `sink`
+  /// if given, else to the observer if set; `tally` buckets its size.
   void deliver_range(std::uint32_t begin, std::uint32_t end,
                      RunStats& local_stats,
-                     std::vector<PendingDelivery>* sink);
+                     std::vector<PendingDelivery>* sink, DeliveryTally* tally);
   /// O(1) quiescence check off the incrementally maintained QuiesceCounters;
   /// debug builds assert it against all_quiet_scan().
   bool all_quiet() const;
@@ -438,16 +450,15 @@ class Network {
   /// call, 3 barriers per round); stops early at quiescence when
   /// `until_quiet`. Accumulates into `phase` and returns rounds executed.
   std::uint32_t run_parallel_block(std::uint32_t max_rounds, bool until_quiet,
-                                   RunStats& phase);
+                                   RunStats& phase, DeliveryTally* tally);
 
   const graph::Graph* graph_;
   NetworkConfig cfg_;
-  /// Armed at construction when a global metrics registry is installed:
-  /// a MetricsObserver composed into cfg_.observer streams per-round
-  /// delivery histograms, and run_phase reports phase totals (incl. the
-  /// drops/violations observers never see) as counters. Null when metrics
-  /// are disabled — the hot path then only ever checks this pointer.
-  std::shared_ptr<class MetricsObserver> metrics_observer_;
+  /// The global metrics registry installed when this Network was built
+  /// (null when metrics were off); it must outlive the Network's runs. Each
+  /// phase tallies its deliveries next to its RunStats, and run_phase folds
+  /// tallies and counters into the registry once, at phase end.
+  metrics::MetricsRegistry* metrics_ = nullptr;
   std::uint32_t bandwidth_bits_ = 0;
   bool fault_enabled_ = false;
   /// O(1) per-check crash lookup, refreshed once per round (the hot

@@ -17,7 +17,9 @@ namespace qc::congest {
 /// (= neighbor-id) order. The sequential engine invokes the sink inline;
 /// the parallel engine buffers per worker and flushes the merged stream
 /// from one thread at the round barrier, so implementations never need
-/// their own locking and traces are bit-identical across engines.
+/// their own locking and traces are bit-identical across engines. The
+/// seam belongs to the caller: the Network's own congest.* metrics are
+/// tallied beside its RunStats, not through an observer.
 class DeliveryObserver {
  public:
   virtual ~DeliveryObserver() = default;

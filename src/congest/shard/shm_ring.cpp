@@ -220,20 +220,25 @@ void ShmChannel::release() {
 
 // ---- MeshRing -------------------------------------------------------------
 
+std::size_t MeshRing::slot_stride(std::size_t capacity) {
+  // Whole headers, so slot 1's header is as aligned as slot 0's.
+  return (kSlotHeaderBytes + capacity + kSlotHeaderBytes - 1) /
+         kSlotHeaderBytes * kSlotHeaderBytes;
+}
+
 std::size_t MeshRing::bytes_needed(std::size_t capacity) {
-  return 2 * (kSlotHeaderBytes + capacity);
+  return 2 * slot_stride(capacity);
 }
 
 MeshRing::MeshRing(std::uint8_t* mem, std::size_t capacity)
     : base_(mem), capacity_(capacity) {}
 
 MeshRing::SlotHeader* MeshRing::slot_hdr(std::uint32_t i) const {
-  return reinterpret_cast<SlotHeader*>(base_ +
-                                       i * (kSlotHeaderBytes + capacity_));
+  return reinterpret_cast<SlotHeader*>(base_ + i * slot_stride(capacity_));
 }
 
 std::uint8_t* MeshRing::slot_payload(std::uint32_t i) const {
-  return base_ + i * (kSlotHeaderBytes + capacity_) + kSlotHeaderBytes;
+  return base_ + i * slot_stride(capacity_) + kSlotHeaderBytes;
 }
 
 std::span<std::uint8_t> MeshRing::produce_buffer(std::uint32_t round) {

@@ -210,6 +210,8 @@ class MeshRing {
   };
   static_assert(sizeof(SlotHeader) <= kSlotHeaderBytes);
 
+  /// Header plus payload, rounded up to a multiple of kSlotHeaderBytes.
+  static std::size_t slot_stride(std::size_t capacity);
   SlotHeader* slot_hdr(std::uint32_t i) const;
   std::uint8_t* slot_payload(std::uint32_t i) const;
 

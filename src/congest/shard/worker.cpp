@@ -38,7 +38,6 @@ class WorkerState {
               const NetworkConfig& net_cfg, const ShardAssignment& asn,
               const std::function<std::unique_ptr<NodeProgram>(NodeId)>& make)
       : link_(link), asn_(asn), net_(g, worker_cfg(net_cfg)) {
-    net_.shard_set_observer_collection(link_.collect_events);
     net_.init_programs([&](NodeId v) -> std::unique_ptr<NodeProgram> {
       if (asn.shard_of[v] == link_.shard) return make(v);
       return std::make_unique<InertProgram>();
@@ -174,8 +173,8 @@ class WorkerState {
     // The coordinator owns the round loop; each worker's slice is driven
     // range-by-range, so the replica's own engine choice is irrelevant.
     cfg.engine = Engine::kSequential;
-    // The user observer lives coordinator-side; shard_set_observer_collection
-    // rebuilds worker-side observation from scratch.
+    // The user observer lives coordinator-side: the round loop hands
+    // shard_deliver_range a sink only when the coordinator collects events.
     cfg.observer = nullptr;
     return cfg;
   }

@@ -154,6 +154,21 @@ void MetricsRegistry::observe(std::string_view name, double value) {
   h.sum += value;
 }
 
+void MetricsRegistry::merge_histogram(std::string_view name,
+                                      std::span<const std::uint64_t> counts,
+                                      double sum) {
+  std::lock_guard<std::mutex> lock(mu_);
+  Histogram& h = histogram_locked(name);
+  require(counts.size() == h.counts.size(),
+          "MetricsRegistry::merge_histogram: bucket count does not match the "
+          "registered bounds");
+  for (std::size_t i = 0; i < counts.size(); ++i) {
+    h.counts[i] += counts[i];
+    h.total += counts[i];
+  }
+  h.sum += sum;
+}
+
 std::uint64_t MetricsRegistry::begin_span(std::string_view name) {
   std::lock_guard<std::mutex> lock(mu_);
   std::uint64_t parent = 0;

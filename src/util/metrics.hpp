@@ -32,6 +32,7 @@
 #include <iosfwd>
 #include <memory>
 #include <mutex>
+#include <span>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -88,6 +89,11 @@ class MetricsRegistry {
   /// Records one observation; auto-registers with power-of-two bounds
   /// (1, 2, 4, ..., 2^20) when the name is new.
   void observe(std::string_view name, double value);
+  /// Bulk observe for a tally kept outside the registry: adds counts[i]
+  /// observations, summing to `sum`, to bucket i of the registered bounds
+  /// (counts has bounds.size() + 1 entries, else qc::Error).
+  void merge_histogram(std::string_view name,
+                       std::span<const std::uint64_t> counts, double sum);
 
   // -- spans (use PhaseTimer / ScopedTimer rather than calling directly) --
   /// Opens a span; its parent is the innermost span this thread currently

@@ -8,18 +8,23 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cctype>
 #include <cstdlib>
 #include <fstream>
 #include <map>
+#include <memory>
 #include <set>
 #include <sstream>
 #include <string>
 #include <vector>
 
+#include "congest/network.hpp"
+#include "congest/observer.hpp"
 #include "core/quantum_diameter.hpp"
 #include "core/quantum_radius.hpp"
 #include "graph/generators.hpp"
+#include "util/error.hpp"
 #include "util/metrics.hpp"
 #include "util/rng.hpp"
 
@@ -283,6 +288,31 @@ TEST(Metrics, HistogramBucketingAndIdempotentRegistration) {
   EXPECT_EQ(hist->at("sum").num, 0.5 + 10.0 + 99.0 + 1e6);
 }
 
+TEST(Metrics, MergeHistogramAddsPreBucketedCounts) {
+  metrics::MetricsRegistry reg;
+  reg.register_histogram("lat", {1.0, 10.0, 100.0});
+  reg.observe("lat", 5.0);
+  const std::vector<std::uint64_t> tally = {2, 0, 1, 3};
+  reg.merge_histogram("lat", tally, 0.5 + 0.5 + 99.0 + 3 * 1e6);
+  const std::vector<std::uint64_t> too_short = {1, 2, 3};
+  EXPECT_THROW(reg.merge_histogram("lat", too_short, 1.0), Error);
+  std::ostringstream os;
+  reg.write_jsonl(os);
+  std::istringstream is(os.str());
+  const auto lines = parse_jsonl(is);
+  validate_capture(lines);
+  const JsonObject* hist = nullptr;
+  for (const auto& o : lines) {
+    if (o.at("type").str == "histogram" && o.at("name").str == "lat") {
+      hist = &o;
+    }
+  }
+  ASSERT_NE(hist, nullptr);
+  EXPECT_EQ(hist->at("counts").arr, (std::vector<double>{2, 1, 1, 3}));
+  EXPECT_EQ(hist->at("count").num, 7.0);
+  EXPECT_EQ(hist->at("sum").num, 5.0 + 0.5 + 0.5 + 99.0 + 3 * 1e6);
+}
+
 TEST(Metrics, GoldenSchemaRoundTrip) {
   metrics::MetricsRegistry reg;
   reg.add_counter("c.one", 7, "with \"quotes\"\n");
@@ -346,6 +376,190 @@ TEST(Metrics, SpanStackIsPerRegistry) {
   EXPECT_EQ(spans_a[0].parent, 0u);
   EXPECT_EQ(spans_b[0].parent, 0u);
   EXPECT_EQ(spans_b[1].parent, spans_b[0].id);
+}
+
+// ---------------------------------------------------------------------------
+// The congest.* delivery histograms against an independent tally: a
+// CallbackObserver sees every delivered message (as delivered: after fault
+// corruption or bandwidth truncation, never a dropped one), the test buckets
+// per-message sizes and per-round totals itself, and the export must agree
+// bucket for bucket.
+
+const std::vector<double> kRoundMessageBounds = {
+    1, 2, 4, 8, 16, 32, 64, 128, 256, 512, 1024, 4096, 16384, 65536, 262144};
+const std::vector<double> kRoundBitsBounds = {
+    8, 16, 32, 64, 128, 256, 1024, 4096, 16384, 65536, 262144, 1048576,
+    4194304};
+const std::vector<double> kMessageBitsBounds = {1,  2,  4,  8,  12, 16, 20,
+                                                24, 32, 40, 48, 64, 96, 128};
+
+struct ExpectedHistogram {
+  std::vector<double> bounds;
+  std::vector<double> counts;
+  double count = 0;
+  double sum = 0;
+
+  explicit ExpectedHistogram(const std::vector<double>& b)
+      : bounds(b), counts(b.size() + 1, 0.0) {}
+
+  void add(double v) {
+    const auto it = std::lower_bound(bounds.begin(), bounds.end(), v);
+    counts[static_cast<std::size_t>(it - bounds.begin())] += 1;
+    count += 1;
+    sum += v;
+  }
+};
+
+/// Traffic with every shape the histograms distinguish: on_start and every
+/// round not divisible by 5 send on a hashed subset of ports, so rounds
+/// 6, 11, 16, ... deliver nothing; messages carry one to four fields of
+/// hashed widths, from 1 bit to past the last message_bits bound.
+class Chatter final : public congest::NodeProgram {
+ public:
+  void on_start(congest::NodeContext& ctx) override { chat(ctx); }
+  void on_round(congest::NodeContext& ctx) override {
+    if (ctx.round() % 5 != 0) chat(ctx);
+  }
+
+ private:
+  static std::uint64_t hash(std::uint64_t a, std::uint64_t b,
+                            std::uint64_t c) {
+    std::uint64_t h = a * 0x9e3779b97f4a7c15ULL ^ (b + 0x632be59bd9b4e019ULL);
+    h ^= c * 0xbf58476d1ce4e5b9ULL;
+    h ^= h >> 31;
+    h *= 0x94d049bb133111ebULL;
+    return h ^ (h >> 29);
+  }
+
+  static void chat(congest::NodeContext& ctx) {
+    for (std::uint32_t p = 0; p < ctx.degree(); ++p) {
+      const std::uint64_t h = hash(ctx.id(), ctx.round(), p);
+      if (h % 3 != 0) continue;
+      congest::Message m;
+      const std::uint32_t fields = 1 + static_cast<std::uint32_t>(h >> 8) % 4;
+      for (std::uint32_t i = 0; i < fields; ++i) {
+        const auto width =
+            1 + static_cast<std::uint32_t>((h >> (16 + 8 * i)) % 64);
+        const std::uint64_t mask =
+            width == 64 ? ~std::uint64_t{0} : (std::uint64_t{1} << width) - 1;
+        m.push((h >> (i + 3)) & mask, width);
+      }
+      ctx.send(p, std::move(m));
+    }
+  }
+};
+
+/// Runs Chatter for `phases` (run_rounds counts, one phase each) on one
+/// Network built from `cfg` with the independent tally as its observer,
+/// under a fresh registry, and checks the three congest.* histograms that
+/// registry exports against the tally.
+void check_delivery_histograms(const graph::Graph& g,
+                               congest::NetworkConfig cfg,
+                               const std::vector<std::uint32_t>& phases) {
+  ExpectedHistogram msg_bits(kMessageBitsBounds);
+  ExpectedHistogram round_msgs(kRoundMessageBounds);
+  ExpectedHistogram round_bits(kRoundBitsBounds);
+  std::map<std::uint32_t, std::pair<std::uint64_t, std::uint64_t>> per_round;
+  std::uint64_t dropped = 0;
+  cfg.observer = std::make_shared<congest::CallbackObserver>(
+      [&](graph::NodeId, graph::NodeId, const congest::Message& m,
+          std::uint32_t round) {
+        msg_bits.add(m.size_bits());
+        per_round[round].first += 1;
+        per_round[round].second += m.size_bits();
+      });
+
+  metrics::MetricsRegistry reg;
+  metrics::set_global(&reg);
+  {
+    congest::Network net(g, cfg);
+    net.init_programs(
+        [](graph::NodeId) { return std::make_unique<Chatter>(); });
+    for (const std::uint32_t r : phases) {
+      dropped += net.run_rounds(r).messages_dropped;
+    }
+  }
+  metrics::set_global(nullptr);
+  for (const auto& [round, totals] : per_round) {
+    round_msgs.add(static_cast<double>(totals.first));
+    round_bits.add(static_cast<double>(totals.second));
+  }
+  if (cfg.fault.enabled()) {
+    EXPECT_GT(dropped, 0u) << "the fault plan dropped nothing";
+  }
+  if (!phases.empty()) {
+    EXPECT_GT(msg_bits.count, 0.0);
+    std::uint32_t rounds = 0;
+    for (const std::uint32_t r : phases) rounds += r;
+    EXPECT_LT(per_round.size(), rounds) << "no silent round was exercised";
+  }
+
+  std::ostringstream os;
+  reg.write_jsonl(os);
+  std::istringstream is(os.str());
+  const auto lines = parse_jsonl(is);
+  validate_capture(lines);
+  const std::map<std::string, const ExpectedHistogram*> expected{
+      {"congest.message_bits", &msg_bits},
+      {"congest.round_messages", &round_msgs},
+      {"congest.round_bits", &round_bits}};
+  std::set<std::string> seen;
+  for (const auto& o : lines) {
+    if (o.at("type").str != "histogram") continue;
+    const auto it = expected.find(o.at("name").str);
+    if (it == expected.end()) continue;
+    seen.insert(it->first);
+    const ExpectedHistogram& want = *it->second;
+    EXPECT_EQ(o.at("bounds").arr, want.bounds) << it->first;
+    EXPECT_EQ(o.at("counts").arr, want.counts) << it->first;
+    EXPECT_EQ(o.at("count").num, want.count) << it->first;
+    EXPECT_EQ(o.at("sum").num, want.sum) << it->first;
+  }
+  EXPECT_EQ(seen.size(), expected.size()) << "a congest.* histogram is missing";
+}
+
+TEST(DeliveryHistograms, SequentialEngineMatchesIndependentTally) {
+  congest::NetworkConfig cfg;
+  cfg.policy = congest::BandwidthPolicy::kRecord;
+  check_delivery_histograms(test_graph(40, 6, 7), cfg, {12, 9});
+}
+
+TEST(DeliveryHistograms, ParallelEngineMatchesIndependentTally) {
+  congest::NetworkConfig cfg;
+  cfg.policy = congest::BandwidthPolicy::kRecord;
+  cfg.engine = congest::Engine::kParallel;
+  cfg.num_threads = 3;
+  check_delivery_histograms(test_graph(40, 6, 7), cfg, {12, 9});
+}
+
+TEST(DeliveryHistograms, FaultsCountOnlyDeliveredMessagesAsDelivered) {
+  for (const auto engine :
+       {congest::Engine::kSequential, congest::Engine::kParallel}) {
+    congest::NetworkConfig cfg;
+    cfg.policy = congest::BandwidthPolicy::kRecord;
+    cfg.engine = engine;
+    cfg.num_threads = 3;
+    cfg.fault.drop_probability = 0.2;
+    cfg.fault.corrupt_probability = 0.3;
+    cfg.fault.seed = 41;
+    check_delivery_histograms(test_graph(36, 5, 3), cfg, {11, 8});
+  }
+}
+
+TEST(DeliveryHistograms, TruncatedMessagesCountAtDeliveredSize) {
+  for (const auto engine :
+       {congest::Engine::kSequential, congest::Engine::kParallel}) {
+    congest::NetworkConfig cfg;
+    cfg.policy = congest::BandwidthPolicy::kTruncate;
+    cfg.bandwidth_bits = 12;
+    cfg.engine = engine;
+    cfg.num_threads = 3;
+    check_delivery_histograms(test_graph(36, 5, 5), cfg, {13});
+  }
+}
+
+TEST(DeliveryHistograms, NetworkThatNeverRunsExportsEmptyHistograms) {
+  check_delivery_histograms(test_graph(20, 4, 2), {}, {});
 }
 
 // The tentpole's enablement contract: installing a registry must not change

@@ -807,15 +807,51 @@ TEST(ShmTransport, MeshRingRoundTripsAndRejectsStaleOrTornSlots) {
   EXPECT_THROW(cons.consume(2), serve::ProtocolError);
 
   // A torn writer's oversized length is rejected even with a valid stamp.
-  // Slot 3 & 1 == 1 starts at kSlotHeaderBytes + kCap; its header is
-  // (round u32 | len u32).
-  const std::size_t slot1 = MeshRing::kSlotHeaderBytes + kCap;
+  // Slot 3 & 1 == 1's header, (round u32 | len u32), sits right before its
+  // payload.
+  const std::size_t slot1 = static_cast<std::size_t>(
+      prod.produce_buffer(1).data() - MeshRing::kSlotHeaderBytes - mem.data());
   const std::uint32_t bad_len = kCap + 1;
   std::memcpy(mem.data() + slot1 + 4, &bad_len, sizeof(bad_len));
   EXPECT_THROW(cons.consume(3), serve::ProtocolError);
 
   // Oversized publications are refused producer-side as a caller bug.
   EXPECT_THROW(prod.publish(4, kCap + 1), Error);
+}
+
+TEST(ShmTransport, MeshRingSlotHeadersStayAlignedForEveryCapacity) {
+  // Whatever the payload capacity, slot 1's header must stay aligned for
+  // its u32 fields (UBSan reports a misaligned access), and both slots
+  // must round-trip a batch.
+  for (std::size_t cap = 1; cap <= 9; ++cap) {
+    SCOPED_TRACE("capacity " + std::to_string(cap));
+    const std::size_t bytes = MeshRing::bytes_needed(cap);
+    struct alignas(64) Line {
+      std::uint8_t b[64];
+    };
+    std::vector<Line> arena((bytes + sizeof(Line) - 1) / sizeof(Line));
+    auto* mem = reinterpret_cast<std::uint8_t*>(arena.data());
+    MeshRing prod(mem, cap);
+    MeshRing cons(mem, cap);
+    for (std::uint32_t round = 2; round <= 3; ++round) {
+      auto buf = prod.produce_buffer(round);
+      ASSERT_EQ(buf.size(), cap);
+      const std::uint8_t* header = buf.data() - MeshRing::kSlotHeaderBytes;
+      EXPECT_EQ(reinterpret_cast<std::uintptr_t>(header) % 4, 0u);
+      EXPECT_LE(buf.data() + cap, mem + bytes);
+      for (std::size_t i = 0; i < cap; ++i) {
+        buf[i] = static_cast<std::uint8_t>(round * 16 + i);
+      }
+      prod.publish(round, cap);
+      const auto got = cons.consume(round);
+      ASSERT_EQ(got.size(), cap);
+      for (std::size_t i = 0; i < cap; ++i) {
+        EXPECT_EQ(got[i], static_cast<std::uint8_t>(round * 16 + i));
+      }
+    }
+    // Publishing slot 1 left slot 0's batch intact.
+    EXPECT_EQ(cons.consume(2)[0], std::uint8_t{32});
+  }
 }
 
 TEST(ShardCodec, MeshBatchRoundTripsThroughWriterAndReader) {
