@@ -35,7 +35,7 @@ namespace qc::algos {
 /// Step 5 of Figure 2 (reverting steps 3 to 1 to clean all registers,
 /// which makes the procedure a unitary usable inside amplitude
 /// amplification) is charged by the caller as a second pass of the same
-/// length; see core::DistributedQuantumOptimizer.
+/// length; see core::distributed_quantum_optimize.
 ///
 /// One off-by-one deviation from the paper's text: Figure 2 has nodes keep
 /// dv = max(dv, delta) while rebroadcasting (tau', delta+1), which would

@@ -453,21 +453,9 @@ void Network::step_round(RunStats& phase, DeliveryTally* tally) {
   phase += local;
 }
 
-std::uint32_t Network::run_parallel_block(std::uint32_t max_rounds,
-                                          bool until_quiet, RunStats& phase,
-                                          DeliveryTally* tally) {
-  const unsigned hw = std::thread::hardware_concurrency();
-  const unsigned requested = cfg_.num_threads != 0 ? cfg_.num_threads : hw;
-  const unsigned T = std::max(1u, std::min(requested, n() == 0 ? 1u : n()));
-  if (T == 1) {
-    std::uint32_t executed = 0;
-    while (executed < max_rounds && !(until_quiet && all_quiet())) {
-      step_round(phase, tally);
-      ++executed;
-    }
-    return executed;
-  }
-
+void Network::run_parallel_block(std::uint32_t max_rounds, bool until_quiet,
+                                 RunStats& phase, DeliveryTally* tally,
+                                 unsigned T) {
   DeliveryObserver* const observer = cfg_.observer.get();
   std::vector<RunStats> local(T);
   std::vector<std::vector<PendingDelivery>> pending(T);
@@ -560,17 +548,7 @@ std::uint32_t Network::run_parallel_block(std::uint32_t max_rounds,
   for (auto& th : threads) th.join();
 
   RunStats merged;
-  for (const auto& l : local) {
-    merged.messages += l.messages;
-    merged.bits += l.bits;
-    merged.violations += l.violations;
-    merged.max_edge_bits = std::max(merged.max_edge_bits, l.max_edge_bits);
-    merged.max_node_memory_bits =
-        std::max(merged.max_node_memory_bits, l.max_node_memory_bits);
-    merged.messages_dropped += l.messages_dropped;
-    merged.messages_corrupted += l.messages_corrupted;
-    merged.crashed_node_rounds += l.crashed_node_rounds;
-  }
+  for (const auto& l : local) merged += l;
   for (const auto& wt : worker_tally) {
     for (std::size_t i = 0; i < wt.message_bits.size(); ++i) {
       tally->message_bits[i] += wt.message_bits[i];
@@ -584,14 +562,13 @@ std::uint32_t Network::run_parallel_block(std::uint32_t max_rounds,
     memory_audit_ = false;
   }
   phase += merged;
-  return executed.load();
 }
 
 void Network::shard_start_range(std::uint32_t begin, std::uint32_t end) {
   std::uint32_t sends = 0;
   for (NodeId v = begin; v < end; ++v) {
     require(programs_[v] != nullptr,
-            "Network::shard_start_range: init_programs was not called");
+            "Network: init_programs was not called");
     programs_[v]->on_start(contexts_[v]);
     sends += contexts_[v].pending_sends_;
     contexts_[v].pending_sends_ = 0;
@@ -631,17 +608,7 @@ void Network::shard_inject_slot(std::uint32_t slot, const Message& msg) {
 
 void Network::start_if_needed() {
   if (started_) return;
-  std::uint32_t sends = 0;
-  for (NodeId v = 0; v < n(); ++v) {
-    require(programs_[v] != nullptr,
-            "Network::run: init_programs was not called");
-    programs_[v]->on_start(contexts_[v]);
-    sends += contexts_[v].pending_sends_;
-    contexts_[v].pending_sends_ = 0;
-  }
-  if (sends != 0) {
-    quiesce_->inflight.fetch_add(sends, std::memory_order_relaxed);
-  }
+  shard_start_range(0, n());
   started_ = true;
 }
 
@@ -650,8 +617,17 @@ RunStats Network::run_phase(std::uint32_t max_rounds, bool until_quiet) {
   RunStats phase;
   DeliveryTally phase_tally;
   DeliveryTally* const tally = metrics_ != nullptr ? &phase_tally : nullptr;
+  // The parallel engine runs on min(num_threads or hardware threads, n)
+  // workers; one worker is the sequential loop.
+  unsigned threads = 1;
   if (cfg_.engine == Engine::kParallel) {
-    run_parallel_block(max_rounds, until_quiet, phase, tally);
+    threads = std::min(cfg_.num_threads != 0
+                           ? cfg_.num_threads
+                           : std::thread::hardware_concurrency(),
+                       n());
+  }
+  if (threads > 1) {
+    run_parallel_block(max_rounds, until_quiet, phase, tally, threads);
   } else {
     std::uint32_t executed = 0;
     while (executed < max_rounds && !(until_quiet && all_quiet())) {

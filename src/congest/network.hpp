@@ -446,11 +446,12 @@ class Network {
   /// for the counters.
   bool all_quiet_scan() const;
   void reseed_node_rngs();
-  /// Runs up to `max_rounds` with persistent worker threads (one spawn per
-  /// call, 3 barriers per round); stops early at quiescence when
-  /// `until_quiet`. Accumulates into `phase` and returns rounds executed.
-  std::uint32_t run_parallel_block(std::uint32_t max_rounds, bool until_quiet,
-                                   RunStats& phase, DeliveryTally* tally);
+  /// Runs up to `max_rounds` on `threads` (> 1) persistent workers (one
+  /// spawn per call, 3 barriers per round); stops early at quiescence when
+  /// `until_quiet`. Accumulates into `phase`.
+  void run_parallel_block(std::uint32_t max_rounds, bool until_quiet,
+                          RunStats& phase, DeliveryTally* tally,
+                          unsigned threads);
 
   const graph::Graph* graph_;
   NetworkConfig cfg_;

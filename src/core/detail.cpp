@@ -13,24 +13,29 @@ namespace qc::core::detail {
 
 using graph::NodeId;
 
+namespace {
+
 std::uint32_t effective_branch_threads(const QuantumConfig& cfg) {
   if (cfg.net.observer != nullptr) return 1;
   if (cfg.branch_threads != 0) return cfg.branch_threads;
   return std::max(1u, std::thread::hardware_concurrency());
 }
 
-void record_quantum_costs(const char* algo, const qsim::SearchCosts& costs,
-                          std::uint64_t distinct_evaluations,
-                          std::uint64_t reference_bfs_runs) {
+// Grover/Setup/check counters labeled with the front-end name, plus the
+// branch-evaluation and reference-BFS totals (no-op when metrics are
+// disabled).
+void record_quantum_costs(const char* algo, const QuantumPhaseReport& rep) {
   if (!metrics::enabled()) return;
-  metrics::count("core.grover_iterations", costs.grover_iterations, algo);
-  metrics::count("core.setup_invocations", costs.setup_invocations, algo);
-  metrics::count("core.candidate_evaluations", costs.candidate_evaluations,
-                 algo);
-  metrics::count("core.distinct_branch_evaluations", distinct_evaluations,
-                 algo);
-  metrics::count("core.reference_bfs_runs", reference_bfs_runs, algo);
+  metrics::count("core.grover_iterations", rep.costs.grover_iterations, algo);
+  metrics::count("core.setup_invocations", rep.costs.setup_invocations, algo);
+  metrics::count("core.candidate_evaluations",
+                 rep.costs.candidate_evaluations, algo);
+  metrics::count("core.distinct_branch_evaluations",
+                 rep.distinct_branch_evaluations, algo);
+  metrics::count("core.reference_bfs_runs", rep.reference_bfs_runs, algo);
 }
+
+}  // namespace
 
 InitPhase run_initialization(const graph::Graph& g,
                              const congest::NetworkConfig& net) {
@@ -116,6 +121,67 @@ std::int64_t WindowOracle::operator()(std::size_t u0) {
     validated_once_ = true;
   }
   return static_cast<std::int64_t>(reference);
+}
+
+PhaseAnswer run_quantum_phase(const graph::Graph& g, const QuantumConfig& cfg,
+                              const PhaseSpec& spec, QuantumPhaseReport& rep) {
+  const std::uint32_t threads = effective_branch_threads(cfg);
+  WindowOracle oracle(g, *spec.tree, spec.steps, cfg.oracle, cfg.net,
+                      spec.mask, threads);
+  rep.t_eval_forward = oracle.t_eval_forward();
+
+  PhaseAnswer answer;
+  // Fills either problem type from the spec, runs it under the
+  // core.quantum_phase span and copies the shared report fields.
+  const auto solve = [&](auto prob, auto run) {
+    prob.domain_size = g.n();
+    for (std::size_t v = 0; v < spec.mask.size(); ++v) {
+      if (spec.mask[v]) prob.support.push_back(v);
+    }
+    prob.t_init = spec.t_init;
+    prob.t_setup = spec.t_setup;
+    prob.t_eval_forward = oracle.t_eval_forward();
+    prob.epsilon = spec.epsilon;
+    prob.delta = cfg.delta;
+    prob.num_threads = threads;
+
+    Rng rng(spec.seed);
+    metrics::PhaseTimer span(metrics::global(), "core.quantum_phase");
+    const auto out = run(prob, rng);
+    // A failed subroutine charges no rounds (total_rounds is 0, not t_init).
+    span.add(out.subroutine_failed ? 0 : out.total_rounds - spec.t_init, 0,
+             0);
+    span.finish();
+
+    rep.costs = out.costs;
+    rep.distinct_branch_evaluations = out.distinct_evaluations;
+    rep.reference_bfs_runs = oracle.reference_bfs_runs();
+    rep.per_node_memory_qubits = out.per_node_memory_qubits;
+    rep.leader_memory_qubits = out.leader_memory_qubits;
+    rep.subroutine_failed = out.subroutine_failed;
+    rep.failure_reason = out.failure_reason;
+    answer.total_rounds = out.total_rounds;
+    return out;
+  };
+
+  if (spec.goal == PhaseGoal::kExceeds) {
+    SearchProblem prob;
+    const auto k = static_cast<std::int64_t>(spec.threshold);
+    prob.marked = [&oracle, k](std::size_t x) { return oracle(x) > k; };
+    const auto out = solve(std::move(prob), distributed_quantum_search);
+    answer.found = out.found;
+    answer.arg = out.witness;
+  } else {
+    const std::int64_t sign = spec.goal == PhaseGoal::kMinimize ? -1 : 1;
+    OptimizationProblem prob;
+    prob.evaluate = [&oracle, sign](std::size_t x) { return sign * oracle(x); };
+    const auto out = solve(std::move(prob), distributed_quantum_optimize);
+    rep.budget_exhausted = out.budget_exhausted;
+    answer.value = sign * out.value;
+    answer.arg = out.argmax;
+  }
+  record_quantum_costs(spec.algo, rep);
+  return answer;
 }
 
 }  // namespace qc::core::detail

@@ -1,8 +1,9 @@
 #pragma once
 
-// Internal building blocks shared by the quantum diameter/radius/decision
-// front-ends: the classical initialization phase of Section 3 and the
-// Figure 2 branch oracle. Not part of the public API surface.
+// Internal building blocks shared by the four quantum front-ends: the
+// classical initialization phase of Section 3, the Figure 2 branch oracle,
+// and the one quantum phase (Section 2.4) every front-end runs on it. Not
+// part of the public API surface.
 
 #include <atomic>
 #include <cstdint>
@@ -35,21 +36,6 @@ struct InitPhase {
 
 InitPhase run_initialization(const graph::Graph& g,
                              const congest::NetworkConfig& net);
-
-/// Branch-evaluation workers a front-end should actually use: the
-/// configured branch_threads (0 = hardware concurrency), forced to 1 when
-/// a delivery observer is armed — concurrent branch simulations would
-/// interleave the observed event stream nondeterministically.
-std::uint32_t effective_branch_threads(const QuantumConfig& cfg);
-
-/// Tags a completed quantum phase in the global metrics registry (no-op
-/// when metrics are disabled): Grover/Setup/check counters labeled with
-/// the front-end name, plus the branch-evaluation and reference-BFS
-/// totals. Shared by all four front-ends so the exported counter names
-/// stay uniform.
-void record_quantum_costs(const char* algo, const qsim::SearchCosts& costs,
-                          std::uint64_t distinct_evaluations,
-                          std::uint64_t reference_bfs_runs);
 
 /// The branch oracle for f(u) = max_{v in segment window of u} ecc(v),
 /// with the two evaluation modes of OracleMode. Cross-checks the
@@ -103,5 +89,48 @@ class WindowOracle {
   std::mutex idle_mu_;
   std::vector<std::unique_ptr<congest::Network>> idle_;  ///< guarded by idle_mu_
 };
+
+/// What the quantum phase does with the window oracle
+/// f(u) = max_{v in S(u)} ecc(v).
+enum class PhaseGoal {
+  kMaximize,  ///< Theorem 7 maximum finding over f (diameter, approx)
+  kMinimize,  ///< Theorem 7 over -f (radius)
+  kExceeds,   ///< Theorem 6 search for a u with f(u) > threshold (decide)
+};
+
+/// One front-end's quantum phase: where the oracle's windows walk, the
+/// measured subroutine costs, and the goal.
+struct PhaseSpec {
+  const char* algo = "";  ///< label of the core.* cost counters
+  const algos::TreeState* tree = nullptr;  ///< the tree the windows walk
+  std::uint32_t steps = 0;  ///< window width; 0 = S(u) = {u}
+  /// Restricts the windows and the Setup superposition to the marked
+  /// nodes (Figure 3's R); empty = every node.
+  std::vector<bool> mask = {};
+  std::uint32_t t_init = 0;
+  std::uint32_t t_setup = 0;
+  double epsilon = 0;  ///< the P_opt / P_M bound
+  PhaseGoal goal = PhaseGoal::kMaximize;
+  std::uint32_t threshold = 0;  ///< kExceeds only
+  std::uint64_t seed = 0;       ///< drives the quantum sampling
+};
+
+/// The answer of a quantum phase. All zero when the subroutine failed.
+struct PhaseAnswer {
+  std::int64_t value = 0;  ///< the optimum of f (kMaximize, kMinimize)
+  std::size_t arg = 0;     ///< where it is attained, or the search witness
+  bool found = false;      ///< kExceeds: some f(u) exceeds the threshold
+  std::uint64_t total_rounds = 0;  ///< t_init plus the quantum phase
+};
+
+/// The quantum phase shared by every front-end: builds the WindowOracle
+/// over (tree, steps, mask), runs distributed_quantum_optimize or
+/// distributed_quantum_search with the measured costs under the
+/// core.quantum_phase span, tags the core.* cost counters with
+/// `spec.algo`, and fills the report's shared fields. Branches fan out
+/// over QuantumConfig::branch_threads workers, one when an observer is
+/// armed (concurrent branches would interleave its event stream).
+PhaseAnswer run_quantum_phase(const graph::Graph& g, const QuantumConfig& cfg,
+                              const PhaseSpec& spec, QuantumPhaseReport& rep);
 
 }  // namespace qc::core::detail

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <memory>
 
 #include "algos/bfs_tree.hpp"
 #include "algos/hprw.hpp"
@@ -63,11 +62,9 @@ QuantumApproxReport quantum_diameter_approx(const graph::Graph& g,
   auto subtree =
       graph::induced_subtree(prep.tree_w.to_bfs_tree(), prep.r_mask);
   const std::uint32_t d_sub = subtree.height;  // depth of the R-ball
-  std::vector<std::size_t> support;
-  for (NodeId v = 0; v < g.n(); ++v) {
-    if (prep.r_mask[v]) support.push_back(v);
-  }
-  check_internal(support.size() == prep.r_size,
+  check_internal(static_cast<std::size_t>(std::count(
+                     prep.r_mask.begin(), prep.r_mask.end(), true)) ==
+                     prep.r_size,
                  "quantum_diameter_approx: R size mismatch");
 
   std::uint32_t quantum_value = 0;
@@ -75,7 +72,6 @@ QuantumApproxReport quantum_diameter_approx(const graph::Graph& g,
     // R = {w}: its eccentricity is already known from BFS(w).
     quantum_value = prep.ecc_w;
   } else {
-    const std::uint32_t steps = 2 * std::max(1u, d_sub);
     const std::uint32_t id_bits = qc::bit_width_for(g.n()) + 1;
     // Setup distributes u0 over BFS(w); measure its cost (Prop. 2).
     const std::uint32_t t_setup =
@@ -89,43 +85,20 @@ QuantumApproxReport quantum_diameter_approx(const graph::Graph& g,
 
     // The same Figure 2 oracle as the exact algorithm, restricted to R via
     // the mask (windows walk the DFS numbering of BFS(w) induced on R).
-    const std::uint32_t branch_threads = detail::effective_branch_threads(cfg);
-    auto oracle = std::make_shared<detail::WindowOracle>(
-        g, prep.tree_w, steps, cfg.oracle, cfg.net, prep.r_mask,
-        branch_threads);
-    const std::uint32_t t_eval_forward = oracle->t_eval_forward();
-
-    OptimizationProblem prob;
-    prob.domain_size = g.n();
-    prob.support = support;
-    prob.evaluate = [oracle](std::size_t x) { return (*oracle)(x); };
-    prob.t_init = 0;  // preparation is charged separately in prep_rounds
-    prob.t_setup = t_setup;
-    prob.t_eval_forward = t_eval_forward;
-    prob.epsilon = std::min(
-        1.0, static_cast<double>(std::max(1u, d_sub)) /
-                 (2.0 * static_cast<double>(prep.r_size)));
-    prob.delta = cfg.delta;
-    prob.num_threads = branch_threads;
-
-    Rng rng(cfg.seed ^ 0xa99ae5u);
-    metrics::PhaseTimer quantum_span(metrics::global(), "core.quantum_phase");
-    auto opt = distributed_quantum_optimize(prob, rng);
-    quantum_span.add(opt.total_rounds, 0, 0);
-    quantum_span.finish();
-    detail::record_quantum_costs("quantum_diameter_approx", opt.costs,
-                                 opt.distinct_evaluations,
-                                 oracle->reference_bfs_runs());
-    rep.subroutine_failed = opt.subroutine_failed;
-    rep.failure_reason = opt.failure_reason;
-    quantum_value =
-        opt.subroutine_failed ? 0 : static_cast<std::uint32_t>(opt.value);
-    rep.quantum_rounds = opt.total_rounds;
-    rep.costs = opt.costs;
-    rep.distinct_branch_evaluations = opt.distinct_evaluations;
-    rep.reference_bfs_runs = oracle->reference_bfs_runs();
-    rep.per_node_memory_qubits = opt.per_node_memory_qubits;
-    rep.leader_memory_qubits = opt.leader_memory_qubits;
+    // Preparation is charged separately in prep_rounds, so t_init = 0.
+    const std::uint32_t d_r = std::max(1u, d_sub);
+    const auto answer = detail::run_quantum_phase(
+        g, cfg,
+        {.algo = "quantum_diameter_approx",
+         .tree = &prep.tree_w,
+         .steps = 2 * d_r,
+         .mask = prep.r_mask,
+         .t_setup = t_setup,
+         .epsilon = std::min(1.0, d_r / (2.0 * prep.r_size)),
+         .seed = cfg.seed ^ 0xa99ae5u},
+        rep);
+    quantum_value = static_cast<std::uint32_t>(answer.value);
+    rep.quantum_rounds = answer.total_rounds;
   }
 
   rep.estimate = std::max({prep.ecc_w, prep.max_ecc_sample, quantum_value});

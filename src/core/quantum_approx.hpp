@@ -8,7 +8,10 @@
 namespace qc::core {
 
 /// Report of the Theorem 4 / Figure 3 quantum 3/2-approximation.
-struct QuantumApproxReport {
+/// The shared quantum-phase fields stay zero when |R| = 1 (no quantum
+/// phase runs); a subroutine failure leaves `estimate` resting on the
+/// classical phase only.
+struct QuantumApproxReport : QuantumPhaseReport {
   std::uint32_t estimate = 0;  ///< D-bar with D-bar <= D <= 3*D-bar/2 whp
   bool aborted = false;        ///< the |S| cap fired (resample to retry)
   std::uint32_t s_used = 0;    ///< the parameter s (= Theta(n^{2/3} D^{-1/3}))
@@ -17,19 +20,6 @@ struct QuantumApproxReport {
   std::uint64_t total_rounds = 0;
   std::uint64_t prep_rounds = 0;     ///< classical preparation (Figure 3 top)
   std::uint64_t quantum_rounds = 0;  ///< the quantum optimization phase
-
-  qsim::SearchCosts costs;
-  std::uint64_t distinct_branch_evaluations = 0;
-  /// BFS runs of the centralized reference path (<= n; see
-  /// QuantumDiameterReport::reference_bfs_runs).
-  std::uint64_t reference_bfs_runs = 0;
-  std::uint64_t per_node_memory_qubits = 0;
-  std::uint64_t leader_memory_qubits = 0;
-
-  /// Propagated from OptimizationReport: the quantum phase's Evaluation
-  /// subroutine failed and `estimate` rests on the classical phase only.
-  bool subroutine_failed = false;
-  std::string failure_reason;
 };
 
 /// Theorem 4: the quantum 3/2-approximation of Figure 3. The preparation

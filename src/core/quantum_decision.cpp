@@ -1,10 +1,8 @@
 #include "core/quantum_decision.hpp"
 
 #include <algorithm>
-#include <memory>
 
 #include "core/detail.hpp"
-#include "util/error.hpp"
 #include "util/metrics.hpp"
 
 namespace qc::core {
@@ -37,48 +35,24 @@ DecisionReport quantum_diameter_decide(const graph::Graph& g,
     return rep;
   }
 
-  const std::uint32_t steps = 2 * init.d;
-  const std::uint32_t branch_threads = detail::effective_branch_threads(cfg);
-  auto oracle = std::make_shared<detail::WindowOracle>(
-      g, init.tree, steps, cfg.oracle, cfg.net, std::vector<bool>{},
-      branch_threads);
-  rep.t_eval_forward = oracle->t_eval_forward();
-
-  SearchProblem prob;
-  prob.domain_size = g.n();
-  prob.marked = [oracle, threshold](std::size_t x) {
-    return (*oracle)(x) > static_cast<std::int64_t>(threshold);
-  };
-  prob.t_init = init.rounds;
-  prob.t_setup = init.t_setup;
-  prob.t_eval_forward = oracle->t_eval_forward();
   // If D > threshold, Lemma 1 marks at least the windows covering a
   // peripheral vertex: P_M >= d/2n.
-  prob.epsilon = std::min(
-      1.0, static_cast<double>(init.d) / (2.0 * static_cast<double>(g.n())));
-  prob.delta = cfg.delta;
-  prob.num_threads = branch_threads;
-
-  Rng rng(cfg.seed ^ 0xdec1deULL);
-  metrics::PhaseTimer quantum_span(metrics::global(), "core.quantum_phase");
-  auto s = distributed_quantum_search(prob, rng);
-  quantum_span.add(s.total_rounds - init.rounds, 0, 0);
-  quantum_span.finish();
-  detail::record_quantum_costs("quantum_diameter_decide", s.costs,
-                               s.distinct_evaluations,
-                               oracle->reference_bfs_runs());
-
-  rep.subroutine_failed = s.subroutine_failed;
-  rep.failure_reason = s.failure_reason;
-  rep.diameter_exceeds = s.found;
-  rep.witness = s.found ? static_cast<graph::NodeId>(s.witness)
-                        : graph::kInvalidNode;
-  rep.total_rounds = s.total_rounds;
-  rep.costs = s.costs;
-  rep.distinct_branch_evaluations = s.distinct_evaluations;
-  rep.reference_bfs_runs = oracle->reference_bfs_runs();
-  rep.per_node_memory_qubits = s.per_node_memory_qubits;
-  rep.leader_memory_qubits = s.leader_memory_qubits;
+  const auto answer = detail::run_quantum_phase(
+      g, cfg,
+      {.algo = "quantum_diameter_decide",
+       .tree = &init.tree,
+       .steps = 2 * init.d,
+       .t_init = init.rounds,
+       .t_setup = init.t_setup,
+       .epsilon = std::min(1.0, init.d / (2.0 * static_cast<double>(g.n()))),
+       .goal = detail::PhaseGoal::kExceeds,
+       .threshold = threshold,
+       .seed = cfg.seed ^ 0xdec1deULL},
+      rep);
+  rep.diameter_exceeds = answer.found;
+  rep.witness = answer.found ? static_cast<graph::NodeId>(answer.arg)
+                             : graph::kInvalidNode;
+  rep.total_rounds = answer.total_rounds;
   span.add(rep.total_rounds, 0, 0);
   return rep;
 }

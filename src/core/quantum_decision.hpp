@@ -8,7 +8,7 @@
 namespace qc::core {
 
 /// Report of a diameter threshold decision.
-struct DecisionReport {
+struct DecisionReport : QuantumPhaseReport {
   bool diameter_exceeds = false;  ///< true iff diameter > threshold (whp)
   graph::NodeId witness = graph::kInvalidNode;  ///< a u with f(u) > threshold
   std::uint32_t threshold = 0;
@@ -16,19 +16,6 @@ struct DecisionReport {
   std::uint64_t total_rounds = 0;
   std::uint32_t init_rounds = 0;
   std::uint32_t t_setup = 0;
-  std::uint32_t t_eval_forward = 0;
-  qsim::SearchCosts costs;
-  std::uint64_t distinct_branch_evaluations = 0;
-  /// BFS runs of the centralized reference path (<= n; see
-  /// QuantumDiameterReport::reference_bfs_runs).
-  std::uint64_t reference_bfs_runs = 0;
-  std::uint64_t per_node_memory_qubits = 0;
-  std::uint64_t leader_memory_qubits = 0;
-
-  /// Propagated from SearchReport: the checking subroutine raised a
-  /// qc::Error and `diameter_exceeds` is meaningless.
-  bool subroutine_failed = false;
-  std::string failure_reason;
 };
 
 /// Decides "diameter > threshold?" — the decision form the paper's lower

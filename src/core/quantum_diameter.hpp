@@ -1,6 +1,7 @@
 #pragma once
 
 #include <cstdint>
+#include <string>
 
 #include "congest/network.hpp"
 #include "core/optimizer.hpp"
@@ -38,21 +39,16 @@ struct QuantumConfig {
   std::uint32_t branch_threads = 0;
 };
 
-/// Full report of a quantum diameter computation; "rounds" quantities are
-/// CONGEST rounds of the simulated distributed execution, everything else
-/// is bookkeeping for the benchmark harness.
-struct QuantumDiameterReport {
-  std::uint32_t diameter = 0;      ///< the algorithm's output
-  graph::NodeId leader = graph::kInvalidNode;
-  std::uint32_t ecc_leader = 0;    ///< the d with d <= D <= 2d
-
-  std::uint64_t total_rounds = 0;  ///< init + quantum phase
-  std::uint32_t init_rounds = 0;   ///< measured classical initialization
-  std::uint32_t t_setup = 0;       ///< measured Setup cost (Prop. 2)
-  std::uint32_t t_eval_forward = 0;///< measured Figure 2 Steps 1-4 cost
+/// The quantum-phase fields every front-end report shares: what the one
+/// quantum phase behind the four front-ends (Section 2.4) measures. They
+/// stay zero when a front-end settles its answer before that phase.
+struct QuantumPhaseReport {
+  std::uint32_t t_eval_forward = 0;  ///< measured Figure 2 Steps 1-4 cost
 
   qsim::SearchCosts costs;
   std::uint64_t distinct_branch_evaluations = 0;
+  /// The Corollary 1 worst-case abort of maximum finding fired (never set
+  /// by the decision query's single search).
   bool budget_exhausted = false;
 
   /// BFS runs spent by the centralized reference path (the EccEngine
@@ -63,11 +59,25 @@ struct QuantumDiameterReport {
   std::uint64_t per_node_memory_qubits = 0;
   std::uint64_t leader_memory_qubits = 0;
 
-  /// Propagated from OptimizationReport: the distributed Evaluation
-  /// subroutine raised a qc::Error (e.g. under a fault plan) and
-  /// `diameter` is meaningless.
+  /// Propagated from OptimizationReport / SearchReport: the distributed
+  /// Evaluation subroutine raised a qc::Error (e.g. a bandwidth violation
+  /// under kEnforce or a fault plan) and the report's answer is
+  /// meaningless.
   bool subroutine_failed = false;
   std::string failure_reason;
+};
+
+/// Full report of a quantum diameter computation; "rounds" quantities are
+/// CONGEST rounds of the simulated distributed execution, everything else
+/// is bookkeeping for the benchmark harness.
+struct QuantumDiameterReport : QuantumPhaseReport {
+  std::uint32_t diameter = 0;      ///< the algorithm's output
+  graph::NodeId leader = graph::kInvalidNode;
+  std::uint32_t ecc_leader = 0;    ///< the d with d <= D <= 2d
+
+  std::uint64_t total_rounds = 0;  ///< init + quantum phase
+  std::uint32_t init_rounds = 0;   ///< measured classical initialization
+  std::uint32_t t_setup = 0;       ///< measured Setup cost (Prop. 2)
 };
 
 /// The simpler algorithm of Section 3.1: quantum maximization of

@@ -8,7 +8,7 @@
 namespace qc::core {
 
 /// Report of a quantum radius/center computation.
-struct RadiusReport {
+struct RadiusReport : QuantumPhaseReport {
   std::uint32_t radius = 0;
   graph::NodeId center = graph::kInvalidNode;
   graph::NodeId leader = graph::kInvalidNode;
@@ -16,20 +16,6 @@ struct RadiusReport {
   std::uint64_t total_rounds = 0;
   std::uint32_t init_rounds = 0;
   std::uint32_t t_setup = 0;
-  std::uint32_t t_eval_forward = 0;
-  qsim::SearchCosts costs;
-  std::uint64_t distinct_branch_evaluations = 0;
-  bool budget_exhausted = false;
-  /// BFS runs of the centralized reference path (<= n; see
-  /// QuantumDiameterReport::reference_bfs_runs).
-  std::uint64_t reference_bfs_runs = 0;
-  std::uint64_t per_node_memory_qubits = 0;
-  std::uint64_t leader_memory_qubits = 0;
-
-  /// Propagated from OptimizationReport: the Evaluation subroutine raised
-  /// a qc::Error and `radius`/`center` are meaningless.
-  bool subroutine_failed = false;
-  std::string failure_reason;
 };
 
 /// Quantum radius (and a center vertex) in O~(sqrt(n) * D) rounds: the

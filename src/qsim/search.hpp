@@ -9,8 +9,8 @@
 namespace qc::qsim {
 
 /// Resource counters shared by the search/optimization routines. The
-/// distributed layer (core::DistributedQuantumOptimizer) converts these to
-/// CONGEST rounds:
+/// distributed layer (core::distributed_quantum_optimize and
+/// core::distributed_quantum_search) converts these to CONGEST rounds:
 ///   rounds = T0 + setup_invocations * T_setup
 ///               + grover_iterations * 2 * (T_setup + T_eval)
 ///               + candidate_evaluations * T_eval

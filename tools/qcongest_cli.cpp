@@ -124,10 +124,24 @@ void require_subroutine_ok(const Report& rep) {
           "quantum subroutine failed: " + rep.failure_reason);
 }
 
+// The value of a flag that names one of a fixed set of choices: a typo
+// (--algo=clasical) aborts instead of silently running the default.
+std::string get_choice(const Cli& cli, const std::string& flag,
+                       const std::vector<std::string>& choices) {
+  const std::string value = cli.get_string(flag, choices.front());
+  if (std::find(choices.begin(), choices.end(), value) != choices.end()) {
+    return value;
+  }
+  std::string expected;
+  for (const auto& c : choices) expected += (expected.empty() ? "" : "|") + c;
+  throw InvalidArgumentError("--" + flag + "=" + value + ": expected " +
+                             expected);
+}
+
 core::QuantumConfig quantum_config(const Cli& cli) {
   core::QuantumConfig cfg;
   cfg.seed = static_cast<std::uint64_t>(cli.get_int("seed", 7));
-  cfg.oracle = cli.get_string("oracle", "simulate") == "direct"
+  cfg.oracle = get_choice(cli, "oracle", {"simulate", "direct"}) == "direct"
                    ? core::OracleMode::kDirect
                    : core::OracleMode::kSimulate;
   cfg.net = net_config(cli);
@@ -433,7 +447,8 @@ int main(int argc, char** argv) try {
   require(g.is_connected(), "this command requires a connected graph");
 
   if (cmd == "diameter") {
-    const std::string algo = cli.get_string("algo", "quantum");
+    const std::string algo =
+        get_choice(cli, "algo", {"quantum", "classical", "simple"});
     if (algo == "classical") {
       auto rep = algos::classical_exact_diameter(g, net_config(cli));
       if (quiet) {
@@ -463,7 +478,7 @@ int main(int argc, char** argv) try {
   }
 
   if (cmd == "approx") {
-    const std::string algo = cli.get_string("algo", "quantum");
+    const std::string algo = get_choice(cli, "algo", {"quantum", "classical"});
     const auto s = static_cast<std::uint32_t>(cli.get_int("s", 0));
     if (algo == "classical") {
       auto rep = algos::classical_approx_diameter(g, s, net_config(cli));
@@ -492,7 +507,7 @@ int main(int argc, char** argv) try {
   }
 
   if (cmd == "radius") {
-    const std::string algo = cli.get_string("algo", "quantum");
+    const std::string algo = get_choice(cli, "algo", {"quantum", "census"});
     if (algo == "census") {
       auto rep = algos::classical_apsp_census(g, net_config(cli));
       if (quiet) {
@@ -585,14 +600,9 @@ int main(int argc, char** argv) try {
     scfg.shards = shards;
     scfg.net = net_config(cli);
     scfg.stop = &g_stop;
-    const std::string part = cli.get_string("partitioner", "contiguous");
-    if (part == "greedy") {
+    if (get_choice(cli, "partitioner", {"contiguous", "greedy"}) == "greedy") {
       scfg.partitioner =
           std::make_shared<congest::shard::GreedyGrowPartitioner>();
-    } else if (part != "contiguous") {
-      std::cerr << "unknown --partitioner '" << part
-                << "' (expected contiguous|greedy)\n";
-      return 2;
     }
     congest::shard::ShardedNetwork net(g, scfg);
     const int rc = run_distributed(net, g, algo, root, spin, quiet);
