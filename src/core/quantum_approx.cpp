@@ -14,8 +14,6 @@
 
 namespace qc::core {
 
-using graph::NodeId;
-
 QuantumApproxReport quantum_diameter_approx(const graph::Graph& g,
                                             const QuantumConfig& cfg,
                                             std::uint32_t s_override) {
