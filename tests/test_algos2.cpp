@@ -5,6 +5,8 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <sstream>
+#include <string>
 
 #include "algos/apsp_census.hpp"
 #include "algos/bfs_tree.hpp"
@@ -13,8 +15,10 @@
 #include "algos/hprw.hpp"
 #include "algos/leader_election.hpp"
 #include "algos/source_detection.hpp"
+#include "congest/trace.hpp"
 #include "graph/algorithms.hpp"
 #include "graph/generators.hpp"
+#include "graph/io.hpp"
 #include "util/bits.hpp"
 #include "util/stats.hpp"
 #include "util/rng.hpp"
@@ -231,6 +235,132 @@ TEST(MemoryDiscipline, SourceDetectionIsDeliberatelyPolynomial) {
   }
   const auto fit = fit_power_law(ns, mems);
   EXPECT_GT(fit.slope, 0.7) << "the census memory should scale ~n";
+}
+
+// ---------------------------------------------------------------------------
+// Figure 2 executions pinned at fixed seeds: the delivered-message stream,
+// every node's final state and every RunStats field. Any change to when or
+// how the Evaluation program runs must reproduce these exactly, under both
+// in-process engines.
+// ---------------------------------------------------------------------------
+
+/// FNV-1a over 64-bit words.
+struct Fnv {
+  std::uint64_t h = 1469598103934665603ULL;
+  void add(std::uint64_t v) {
+    for (int i = 0; i < 8; ++i) {
+      h ^= (v >> (8 * i)) & 0xff;
+      h *= 1099511628211ULL;
+    }
+  }
+};
+
+/// One Figure 2 run on a caller-owned Network, summarized: the trace digest
+/// over (round, from, to, bits) of every delivery, a digest of every node's
+/// (tau', dv), the root's result and every RunStats field.
+std::string figure2_pin(const Graph& g, NodeId u0, std::uint32_t steps,
+                        congest::NetworkConfig cfg,
+                        const std::vector<bool>* mask = nullptr) {
+  const auto tree = build_bfs_tree(g, 0).tree;
+  congest::TraceRecorder recorder;
+  congest::Network net(g, recorder.arm(std::move(cfg)));
+  const auto out = evaluate_window_ecc(net, tree, u0, steps, mask);
+  Fnv trace, nodes;
+  for (const auto& e : recorder.events()) {
+    trace.add(e.round);
+    trace.add(e.from);
+    trace.add(e.to);
+    trace.add(e.bits);
+  }
+  for (NodeId v = 0; v < g.n(); ++v) {
+    const auto& prog = net.program_as<EvaluationProgram>(v);
+    nodes.add(static_cast<std::uint64_t>(prog.tau_prime()));
+    nodes.add(prog.dv());
+  }
+  const auto& root = net.program_as<EvaluationProgram>(tree.root);
+  const auto& s = out.stats;
+  std::ostringstream os;
+  os << std::hex << "trace=" << trace.h << " nodes=" << nodes.h << std::dec
+     << " events=" << recorder.events().size() << " window="
+     << out.window.size() << " result=" << root.has_result() << ":"
+     << root.result() << " rounds=" << s.rounds << " messages=" << s.messages
+     << " bits=" << s.bits << " max_edge=" << s.max_edge_bits
+     << " violations=" << s.violations << " quiesced=" << s.quiesced
+     << " memory=" << s.max_node_memory_bits
+     << " dropped=" << s.messages_dropped
+     << " corrupted=" << s.messages_corrupted
+     << " crashed=" << s.crashed_node_rounds;
+  return os.str();
+}
+
+/// figure2_pin under the sequential engine, checked equal under the
+/// parallel engine on 3 threads.
+std::string figure2_pin_both(const Graph& g, NodeId u0, std::uint32_t steps,
+                             congest::NetworkConfig cfg = {},
+                             const std::vector<bool>* mask = nullptr) {
+  cfg.engine = congest::Engine::kSequential;
+  const std::string seq = figure2_pin(g, u0, steps, cfg, mask);
+  cfg.engine = congest::Engine::kParallel;
+  cfg.num_threads = 3;
+  EXPECT_EQ(figure2_pin(g, u0, steps, cfg, mask), seq);
+  return seq;
+}
+
+std::uint32_t tour_steps(const Graph& g) {
+  return 2 * build_bfs_tree(g, 0).tree.height;
+}
+
+TEST(Figure2Pins, PathDiamGridAndMaskedWindow) {
+  const auto path = graph::make_path(12);
+  EXPECT_EQ(figure2_pin_both(path, 3, tour_steps(path)),
+            "trace=9a7809dc0e9f9649 nodes=fef306a32b2c0b9b events=360 "
+            "window=12 result=1:11 rounds=146 messages=360 bits=3798 "
+            "max_edge=12 violations=0 quiesced=0 memory=50 dropped=0 "
+            "corrupted=0 crashed=0");
+  const auto diam = graph::make_from_spec("diam:128:10");
+  EXPECT_EQ(figure2_pin_both(diam, 5, tour_steps(diam)),
+            "trace=b11776568f9689a9 nodes=b2e557b53344a5ce events=4427 "
+            "window=13 result=1:10 rounds=133 messages=4427 bits=46550 "
+            "max_edge=11 violations=0 quiesced=0 memory=53 dropped=0 "
+            "corrupted=0 crashed=0");
+  const auto grid = graph::make_grid(6, 7);
+  EXPECT_EQ(figure2_pin_both(grid, 11, tour_steps(grid)),
+            "trace=a1c086e5da54c1bb nodes=911b8f5ad780e9ed events=2157 "
+            "window=14 result=1:9 rounds=146 messages=2157 bits=25189 "
+            "max_edge=12 violations=0 quiesced=0 memory=54 dropped=0 "
+            "corrupted=0 crashed=0");
+  // Figure 3's variant: the walk is confined to the ball of radius 2
+  // around the root (ancestor-closed by construction).
+  const auto g = random_graph(30, 6, 11);
+  const auto tree = build_bfs_tree(g, 0).tree;
+  std::vector<bool> keep(g.n());
+  for (NodeId v = 0; v < g.n(); ++v) keep[v] = tree.depth[v] <= 2;
+  EXPECT_EQ(figure2_pin_both(g, tree.root, 6, {}, &keep),
+            "trace=894070ff5b0711e7 nodes=4915c9b208091efe events=454 "
+            "window=5 result=1:6 rounds=51 messages=454 bits=3462 "
+            "max_edge=9 violations=0 quiesced=0 memory=40 dropped=0 "
+            "corrupted=0 crashed=0");
+}
+
+TEST(Figure2Pins, TruncatedBandwidthAndFaultPlan) {
+  const auto g = graph::make_from_spec("diam:64:8");
+  congest::NetworkConfig narrow;
+  narrow.bandwidth_bits = 7;
+  narrow.policy = congest::BandwidthPolicy::kTruncate;
+  EXPECT_EQ(figure2_pin_both(g, 9, tour_steps(g), narrow),
+            "trace=174e5d2ed5e132bd nodes=812b570e38eb75cc events=1919 "
+            "window=11 result=1:4 rounds=107 messages=1919 bits=13022 "
+            "max_edge=7 violations=1753 quiesced=0 memory=51 dropped=0 "
+            "corrupted=0 crashed=0");
+  congest::NetworkConfig faulty;
+  faulty.fault.drop_probability = 0.01;
+  faulty.fault.seed = 7;
+  faulty.fault.crashes.push_back({20, 30, 60});
+  EXPECT_EQ(figure2_pin_both(g, 9, tour_steps(g), faulty),
+            "trace=ac671ed11de8a159 nodes=d1d118eee1d15c0a events=1647 "
+            "window=10 result=1:6 rounds=107 messages=1647 bits=17153 "
+            "max_edge=11 violations=0 quiesced=0 memory=51 dropped=24 "
+            "corrupted=0 crashed=30");
 }
 
 // ---------------------------------------------------------------------------
