@@ -20,7 +20,15 @@
 // reported per round: what matters there is what a round costs beyond its
 // messages. The `seq_dataset` and `par_dataset` rows flood that same graph,
 // so the two in-process engines are also compared at realistic size, under
-// the same parity gate as `seq` and `par`.
+// the same parity gate as `seq` and `par`. The `seq_awake` and `seq_sleepy`
+// rows run a time-driven program on that graph, in which each node acts in
+// one round of every 16: `seq_sleepy` tells the Network when (sleep_until),
+// `seq_awake` runs every node every round; their stats and checksum must be
+// identical, and the ns/round gap is what idle nodes cost a round.
+//
+// The `messages` column is the total over all timed repetitions, which is
+// deterministic even when a fault plan drops a different set each
+// repetition; the rates are those of the fastest repetition.
 
 #include <algorithm>
 #include <chrono>
@@ -128,6 +136,42 @@ class Walk final : public congest::NodeProgram {
   std::uint64_t sum_ = 0;
 };
 
+/// Time-driven traffic: node v acts without mail only in the rounds r with
+/// (r + v) % kPeriod == 0, mailing its id on one port; mail is hashed. With
+/// `hints` a node sleeps until its next alarm; without them it runs every
+/// round, and its empty-inbox calls outside alarms do nothing.
+class Alarm final : public congest::NodeProgram {
+ public:
+  static constexpr std::uint32_t kPeriod = 16;
+
+  explicit Alarm(bool hints) : hints_(hints) {}
+
+  void on_start(congest::NodeContext& ctx) override { nap(ctx); }
+
+  void on_round(congest::NodeContext& ctx) override {
+    for (const auto& in : ctx.inbox()) {
+      sum_ = mix(mix(mix(sum_, in.port), in.msg.field(0)), ctx.round());
+    }
+    if (ctx.degree() > 0 && (ctx.round() + ctx.id()) % kPeriod == 0) {
+      ctx.send(ctx.round() / kPeriod % ctx.degree(),
+               congest::Message().push(ctx.id(), ctx.id_bits()));
+    }
+    nap(ctx);
+  }
+
+  std::uint64_t sum() const { return sum_; }
+
+ private:
+  void nap(congest::NodeContext& ctx) const {
+    if (!hints_) return;
+    const std::uint32_t next = ctx.round() + 1;
+    ctx.sleep_until(next + (kPeriod - (next + ctx.id()) % kPeriod) % kPeriod);
+  }
+
+  bool hints_;
+  std::uint64_t sum_ = 0;
+};
+
 struct Result {
   double ms = 0.0;               ///< best (min) timed repetition
   std::uint64_t messages = 0;    ///< deliveries in that repetition
@@ -135,6 +179,7 @@ struct Result {
   std::uint64_t total_bits = 0;
   std::uint64_t checksum = 0;
   std::uint64_t allocs = 0;  ///< heap allocations across all timed phases
+  congest::RunStats stats;   ///< lifetime stats (new engines only)
 
   double msgs_per_sec() const {
     return static_cast<double>(messages) / std::max(ms, 1e-9) * 1e3;
@@ -340,10 +385,30 @@ Result time_phases(congest::Network& net, std::uint32_t warm,
     r.total_bits += st.bits;
   }
   r.allocs = qc::alloc_probe_count().load() - a0;
+  r.stats = net.stats();
   for (graph::NodeId v = 0; v < net.n(); ++v) {
     r.checksum += net.program_as<Program>(v).sum();
   }
   return r;
+}
+
+bool same_stats(const congest::RunStats& a, const congest::RunStats& b) {
+  return a.rounds == b.rounds && a.messages == b.messages &&
+         a.bits == b.bits && a.max_edge_bits == b.max_edge_bits &&
+         a.violations == b.violations && a.quiesced == b.quiesced &&
+         a.max_node_memory_bits == b.max_node_memory_bits &&
+         a.messages_dropped == b.messages_dropped &&
+         a.messages_corrupted == b.messages_corrupted &&
+         a.crashed_node_rounds == b.crashed_node_rounds;
+}
+
+/// The Alarm program on `g`, with or without its sleep hints.
+Result run_alarm(const graph::Graph& g, bool hints, std::uint32_t warm,
+                 std::uint32_t rounds, std::uint32_t reps) {
+  congest::Network net(g);
+  net.init_programs(
+      [hints](graph::NodeId) { return std::make_unique<Alarm>(hints); });
+  return time_phases<Alarm>(net, warm, rounds, reps);
 }
 
 Result run_new(const graph::Graph& g, congest::Engine engine,
@@ -454,11 +519,16 @@ int main(int argc, char** argv) {
   results.push_back(
       {"par_dataset", run_new(sparse_g, congest::Engine::kParallel, false,
                               false, opt.seed, warm, rounds, reps)});
+  results.push_back(
+      {"seq_awake", run_alarm(sparse_g, false, warm, rounds, reps)});
+  results.push_back(
+      {"seq_sleepy", run_alarm(sparse_g, true, warm, rounds, reps)});
 
-  Table t({"config", "ms", "messages", "msgs/sec", "ns/delivery", "ns/round",
-           "allocs/delivery"});
+  Table t({"config", "ms", "messages (all reps)", "msgs/sec", "ns/delivery",
+           "ns/round", "allocs/delivery"});
   for (const auto& [name, r] : results) {
-    t.add_row({name, fmt(r.ms, 1), fmt(r.messages), fmt(r.msgs_per_sec(), 0),
+    t.add_row({name, fmt(r.ms, 1), fmt(r.total_messages),
+               fmt(r.msgs_per_sec(), 0),
                fmt(r.ns_per_delivery(), 1), fmt(r.ns_per_round(rounds), 1),
                fmt(r.allocs_per_delivery(), 4)});
   }
@@ -471,6 +541,8 @@ int main(int argc, char** argv) {
   const Result& par_fault = results[5].r;
   const Result& seq_dataset = results[7].r;
   const Result& par_dataset = results[8].r;
+  const Result& seq_awake = results[9].r;
+  const Result& seq_sleepy = results[10].r;
   const double speedup = seq.msgs_per_sec() / legacy_r.msgs_per_sec();
   std::cout << "\nsequential speedup vs legacy: " << fmt(speedup, 2)
             << "x  (" << fmt(legacy_r.ns_per_delivery(), 1) << " -> "
@@ -498,6 +570,9 @@ int main(int argc, char** argv) {
                  "engines disagree under an active fault plan");
   check_internal(seq_fault.total_messages < seq.total_messages,
                  "fault plan dropped no messages");
+  check_internal(same_stats(seq_sleepy.stats, seq_awake.stats) &&
+                     seq_sleepy.checksum == seq_awake.checksum,
+                 "sleep hints changed the time-driven execution");
   if (check) {
     check_internal(seq.allocs == 0,
                    "sequential no-fault delivery allocated at steady state");

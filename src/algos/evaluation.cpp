@@ -125,12 +125,38 @@ void EvaluationProgram::token_round(NodeContext& ctx) {
 }
 
 void EvaluationProgram::on_start(NodeContext& ctx) {
-  if (ctx.id() != p_.u0) return;
-  check_internal(in_mask_, "Evaluation: u0 must be on the walk");
-  // The walk starts at u0 as a first (top-down) visit at position 0. The
-  // on_start probe goes out "at round 0": replies arrive at round 2 and
-  // the first token move lands at round 3 — position j arrives at 3j.
-  receive_token(ctx, 0, /*from_parent=*/true, graph::kInvalidNode);
+  if (ctx.id() == p_.u0) {
+    check_internal(in_mask_, "Evaluation: u0 must be on the walk");
+    // The walk starts at u0 as a first (top-down) visit at position 0. The
+    // on_start probe goes out "at round 0": replies arrive at round 2 and
+    // the first token move lands at round 3 — position j arrives at 3j.
+    receive_token(ctx, 0, /*from_parent=*/true, graph::kInvalidNode);
+  }
+  sleep_until_scheduled(ctx);
+}
+
+void EvaluationProgram::sleep_until_scheduled(NodeContext& ctx) const {
+  // With an empty inbox, on_round acts only at these rounds (token_round's
+  // reply-round check, pipeline_round's own start, convergecast_round's
+  // slot); every other empty-inbox call is a no-op. Waking early is always
+  // safe, so the candidates need not be exact outside their phase.
+  const std::uint64_t round = ctx.round();
+  const std::uint64_t token_rounds = token_phase_rounds(p_.steps);
+  std::uint64_t wake = congest::NodeContext::kNever;
+  const auto consider = [&](std::uint64_t r) {
+    if (r > round) wake = std::min(wake, r);
+  };
+  if (awaiting_replies_) {
+    const std::uint64_t next = round + 1;  // the next round = 2 (mod 3)
+    consider(next + (5 - next % 3) % 3);
+  }
+  if (tau_prime_ >= 0) {
+    consider(token_rounds + 2 * static_cast<std::uint64_t>(tau_prime_) + 1);
+  }
+  const bool is_root = tree_parent_ == graph::kInvalidNode;
+  consider(token_rounds + p_.pipeline_len +
+           (is_root ? p_.tree_height + 1 : p_.tree_height - depth_ + 1));
+  ctx.sleep_until(static_cast<std::uint32_t>(wake));
 }
 
 void EvaluationProgram::pipeline_round(NodeContext& ctx,
@@ -214,6 +240,7 @@ void EvaluationProgram::on_round(NodeContext& ctx) {
   } else {
     convergecast_round(ctx, round - token_rounds - p_.pipeline_len);
   }
+  sleep_until_scheduled(ctx);
 }
 
 std::uint64_t EvaluationProgram::memory_bits() const {

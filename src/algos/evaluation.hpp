@@ -32,6 +32,11 @@ namespace qc::algos {
 ///    values up the BFS tree (each node only needs its parent and depth)
 ///    delivers max_{v in S} ecc(v) to the root.
 ///
+/// Between mail, a node acts only at three scheduled rounds: the reply
+/// round after its own probe, its Step 2 start at 2*tau'(v) + 1, and its
+/// convergecast slot at height - depth + 1. It sleeps until the next one
+/// (NodeContext::sleep_until), so a round costs the nodes it wakes.
+///
 /// Step 5 of Figure 2 (reverting steps 3 to 1 to clean all registers,
 /// which makes the procedure a unitary usable inside amplitude
 /// amplification) is charged by the caller as a second pass of the same
@@ -84,6 +89,8 @@ class EvaluationProgram : public congest::NodeProgram {
                           std::uint32_t local_round);
   void receive_token(congest::NodeContext& ctx, std::uint32_t position,
                      bool from_parent, graph::NodeId came_from);
+  /// Sleeps until the next round in which this node acts without mail.
+  void sleep_until_scheduled(congest::NodeContext& ctx) const;
 
   Params p_;
   graph::NodeId tree_parent_;

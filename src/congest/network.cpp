@@ -222,6 +222,7 @@ void Network::init_programs(
     ctx.inbox_.clear();
     ctx.pending_sends_ = 0;
     ctx.halted_ = false;
+    ctx.wake_round_ = 0;
   }
   // A mid-run re-init may leave queued-but-undelivered slots behind; wipe
   // the flat flags so the self-clearing invariant restarts from empty.
@@ -413,41 +414,57 @@ void Network::deliver_range(std::uint32_t begin, std::uint32_t end,
   }
 }
 
-void Network::compute_range(std::uint32_t begin, std::uint32_t end) {
+void Network::compute_range(std::uint32_t begin, std::uint32_t end,
+                            bool phase_start, std::uint64_t& memory_max) {
   // No flag-clearing pass: every queued slot was consumed (and its flag
   // cleared) by its receiver in this round's deliver phase — including a
   // crashed node's slots, whose messages were dropped with it. Programs
   // queue this round's sends into clean slots; their pending-send counts
   // drain into the quiescence counter in one batched atomic per slice.
+  //
+  // A node runs if its wake round has come or it has mail (a non-empty
+  // inbox: mail that was all dropped wakes nothing). The wake round
+  // (kNever while halted) sits next to the inbox stamp on the context line
+  // the loop reads anyway, and a node that never sleeps, like every node
+  // of a flooding round, passes on that one comparison.
+  const bool fault_enabled = fault_enabled_;
+  const std::uint32_t round = *round_;
+  const bool audit = memory_audit_;
+  const bool sweep = audit && phase_start;
+  std::uint64_t memory = memory_max;
   std::uint32_t sends = 0;
   for (NodeId v = begin; v < end; ++v) {
     auto& ctx = contexts_[v];
-    if (fault_enabled_ && crash_index_.down(v)) continue;
-    if (ctx.halted_ && ctx.inbox().empty()) continue;
+    if ((fault_enabled && crash_index_.down(v)) ||
+        (round < ctx.wake_round_ &&
+         (ctx.inbox_round_ != round || ctx.inbox_.empty()))) {
+      if (sweep) memory = std::max(memory, programs_[v]->memory_bits());
+      continue;
+    }
+    ctx.wake_round_ = 0;
     programs_[v]->on_round(ctx);
     sends += ctx.pending_sends_;
     ctx.pending_sends_ = 0;
+    if (audit) memory = std::max(memory, programs_[v]->memory_bits());
   }
+  memory_max = memory;
   if (sends != 0) {
     quiesce_->inflight.fetch_add(sends, std::memory_order_relaxed);
   }
 }
 
-void Network::step_round(RunStats& phase, DeliveryTally* tally) {
+void Network::step_round(RunStats& phase, DeliveryTally* tally,
+                         bool phase_start) {
   const std::uint32_t round = ++*round_;
   if (fault_enabled_) crash_index_.refresh(round);
   RunStats local;
   deliver_range(0, n(), local, /*sink=*/nullptr, tally);
   if (tally != nullptr) tally->add_round(local.messages, local.bits);
-  compute_range(0, n());
-  if (memory_audit_) {
-    for (NodeId v = 0; v < n(); ++v) {
-      local.max_node_memory_bits =
-          std::max(local.max_node_memory_bits, programs_[v]->memory_bits());
-    }
-    // Every program reported "not audited" in the first round: stop paying
-    // the per-round virtual-call sweep (see NodeProgram::memory_bits).
-    if (round == 1 && local.max_node_memory_bits == 0) memory_audit_ = false;
+  compute_range(0, n(), phase_start, local.max_node_memory_bits);
+  // Every program reported "not audited" in the first round: stop paying
+  // the per-round virtual calls (see NodeProgram::memory_bits).
+  if (memory_audit_ && round == 1 && local.max_node_memory_bits == 0) {
+    memory_audit_ = false;
   }
   local.rounds = 1;
   phase += local;
@@ -531,13 +548,8 @@ void Network::run_parallel_block(std::uint32_t max_rounds, bool until_quiet,
         }
         sync.arrive_and_wait();  // observer flushed
       }
-      compute_range(b, e);
-      if (memory_audit_) {
-        for (NodeId v = b; v < e; ++v) {
-          local[t].max_node_memory_bits = std::max(
-              local[t].max_node_memory_bits, programs_[v]->memory_bits());
-        }
-      }
+      compute_range(b, e, /*phase_start=*/i == 0,
+                    local[t].max_node_memory_bits);
       sync.arrive_and_wait();  // all outboxes written
     }
   };
@@ -583,15 +595,6 @@ void Network::shard_begin_round() {
   if (fault_enabled_) crash_index_.refresh(*round_);
 }
 
-std::uint64_t Network::shard_memory_max_range(std::uint32_t begin,
-                                              std::uint32_t end) const {
-  std::uint64_t mx = 0;
-  for (NodeId v = begin; v < end; ++v) {
-    mx = std::max(mx, programs_[v]->memory_bits());
-  }
-  return mx;
-}
-
 Message Network::shard_extract_slot(std::uint32_t slot) {
   require(slot < outbox_flat_.size() && used_flat_[rev_[slot]] != 0,
           "Network::shard_extract_slot: slot is not queued");
@@ -631,7 +634,7 @@ RunStats Network::run_phase(std::uint32_t max_rounds, bool until_quiet) {
   } else {
     std::uint32_t executed = 0;
     while (executed < max_rounds && !(until_quiet && all_quiet())) {
-      step_round(phase, tally);
+      step_round(phase, tally, /*phase_start=*/executed == 0);
       ++executed;
     }
   }

@@ -54,6 +54,9 @@ struct QuiesceCounters {
 /// current round number, this round's inbox, and send primitives.
 class NodeContext {
  public:
+  /// A round no run reaches: sleep_until(kNever) sleeps until mail.
+  static constexpr std::uint32_t kNever = 0xffffffffu;
+
   NodeId id() const { return id_; }
 
   /// Number of incident edges (= number of ports).
@@ -104,7 +107,19 @@ class NodeContext {
   void vote_halt() {
     if (halted_) return;
     halted_ = true;
+    wake_round_ = kNever;  // a halted node sleeps until mail
     quiesce_->halted.fetch_add(1, std::memory_order_relaxed);
+  }
+
+  /// Asks the simulator to skip this node's on_round in the rounds before
+  /// `wake` unless mail arrives: a node with mail runs whatever it asked.
+  /// The request lasts until the node's next on_round, whether mail or the
+  /// wake round brings it, so a program that keeps sleeping asks again at
+  /// the end of every call (and of on_start). A `wake` not after the
+  /// current round is a no-op, and so is any call while halted. Sleeping is
+  /// not halting: a sleeping node still counts as active for quiescence.
+  void sleep_until(std::uint32_t wake) {
+    if (wake > *round_ && !halted_) wake_round_ = wake;
   }
 
   /// Deterministic per-node randomness (seeded from the network seed and
@@ -121,6 +136,11 @@ class NodeContext {
   const std::uint32_t* round_ = nullptr;
   /// Round in which inbox_ was last filled; inbox() hides a stale inbox.
   std::uint32_t inbox_round_ = 0;
+  /// First round in which on_round runs with an empty inbox (sleep_until;
+  /// kNever while halted, so one comparison covers both). compute_range
+  /// reads it beside inbox_round_ and resets it to 0 whenever the node
+  /// runs.
+  std::uint32_t wake_round_ = 0;
   /// This node's ports' neighbors: a slice of the Network's nbr_flat_.
   std::span<const NodeId> neighbors_;
   std::vector<Incoming> inbox_;
@@ -147,6 +167,15 @@ class NodeContext {
 /// A distributed algorithm, written once per node. Implementations hold the
 /// node's local state as member data; the simulator guarantees they can
 /// observe nothing beyond their NodeContext.
+///
+/// A node is in one of three states between rounds. *Active* (the
+/// default): on_round runs every round. *Sleeping* (NodeContext::
+/// sleep_until): on_round is skipped until the wake round, and a node that
+/// wakes early because mail arrived is active again unless it asks to
+/// sleep once more. *Halted* (NodeContext::vote_halt): on_round is skipped
+/// until mail arrives. Mail wakes both, and only halting counts towards
+/// quiescence. A skipped on_round must have been a no-op: sleeping changes
+/// how fast a run goes, never what it computes.
 class NodeProgram {
  public:
   virtual ~NodeProgram() = default;
@@ -155,8 +184,9 @@ class NodeProgram {
   /// messages (e.g. the BFS root of Figure 1 activating its neighbors).
   virtual void on_start(NodeContext& /*ctx*/) {}
 
-  /// Called every round after delivery; read ctx.inbox(), update state,
-  /// send messages.
+  /// Called every round after delivery, unless the node is sleeping or
+  /// halted with an empty inbox (see above); read ctx.inbox(), update
+  /// state, send messages.
   virtual void on_round(NodeContext& ctx) = 0;
 
   /// Number of bits of local working state the program currently holds;
@@ -166,6 +196,9 @@ class NodeProgram {
   /// polling this for the rest of the run (the per-round virtual-call sweep
   /// is pure overhead for non-reporting programs); a program that audits
   /// memory must therefore report a nonzero value from round 1 onward.
+  /// The audit polls every node in the first round of a phase and after
+  /// that only the nodes whose on_round ran, so the value may change only
+  /// inside the program's own callbacks (or between phases).
   virtual std::uint64_t memory_bits() const { return 0; }
 
   /// State transfer for the multi-process shard backend: append every bit
@@ -356,14 +389,13 @@ class Network {
                            std::vector<PendingDelivery>* sink) {
     deliver_range(begin, end, local, sink, /*tally=*/nullptr);
   }
-  void shard_compute_range(std::uint32_t begin, std::uint32_t end) {
-    compute_range(begin, end);
+  /// `phase_start` marks the first round of a coordinator phase; the
+  /// worker's memory-audit maximum accumulates into `memory_max`.
+  void shard_compute_range(std::uint32_t begin, std::uint32_t end,
+                           bool phase_start, std::uint64_t& memory_max) {
+    compute_range(begin, end, phase_start, memory_max);
   }
 
-  /// Max of memory_bits() over [begin, end); the worker's contribution to
-  /// the coordinator's audit decision (see memory_audit_).
-  std::uint64_t shard_memory_max_range(std::uint32_t begin,
-                                       std::uint32_t end) const;
   /// The coordinator owns the disarm-after-round-1 decision for the whole
   /// network; workers just follow it.
   void shard_set_memory_audit(bool on) { memory_audit_ = on; }
@@ -432,8 +464,16 @@ class Network {
   /// accumulates it into the lifetime stats_, and returns the phase stats.
   RunStats run_phase(std::uint32_t max_rounds, bool until_quiet);
   /// One sequential round; with a tally, also its histogram samples.
-  void step_round(RunStats& phase, DeliveryTally* tally);
-  void compute_range(std::uint32_t begin, std::uint32_t end);
+  /// `phase_start` marks the first round of the phase (see compute_range).
+  void step_round(RunStats& phase, DeliveryTally* tally, bool phase_start);
+  /// Runs on_round for the nodes of [begin, end) that are awake: not
+  /// crashed, and with mail or at/after their wake round. While the memory
+  /// audit is armed it folds memory_bits() into `memory_max`: from every
+  /// node in the first round of a phase (`phase_start`), afterwards only
+  /// from the nodes that ran — a node that did not run cannot have changed
+  /// its memory, so the per-phase maxima equal a full sweep every round.
+  void compute_range(std::uint32_t begin, std::uint32_t end, bool phase_start,
+                     std::uint64_t& memory_max);
   /// Delivers receivers [begin, end)'s mail. Each delivery goes to `sink`
   /// if given, else to the observer if set; `tally` buckets its size.
   void deliver_range(std::uint32_t begin, std::uint32_t end,
@@ -501,10 +541,9 @@ class Network {
   /// Network object itself moves.
   std::unique_ptr<QuiesceCounters> quiesce_ =
       std::make_unique<QuiesceCounters>();
-  /// While true, step_round / run_parallel_block sweep every program's
-  /// virtual memory_bits() after compute. Cleared permanently (until the
-  /// next init_programs) once a whole round reports 0 everywhere — see
-  /// NodeProgram::memory_bits.
+  /// While true, compute_range polls memory_bits() (see there). Cleared
+  /// permanently (until the next init_programs) once a whole round reports
+  /// 0 everywhere — see NodeProgram::memory_bits.
   bool memory_audit_ = true;
   RunStats stats_;
   bool started_ = false;

@@ -230,7 +230,7 @@ template <class W>
 void put_round_begin(W& w, const RoundBeginFrame& f) {
   put_header(w, ShardOp::kRoundBegin);
   w.u32(f.round);
-  w.u8(f.memory_audit ? 1 : 0);
+  w.u8((f.memory_audit ? 1 : 0) | (f.phase_start ? 2 : 0));
   put_boundary(w, f.boundary);
 }
 
@@ -319,8 +319,9 @@ void decode_round_begin_into(std::span<const std::uint8_t> payload,
   Reader r = open_body(payload, ShardOp::kRoundBegin);
   f.round = r.u32();
   const std::uint8_t flags = r.u8();
-  proto_require(flags <= 1, "shard: unknown round-begin flag bits");
-  f.memory_audit = flags == 1;
+  proto_require(flags <= 3, "shard: unknown round-begin flag bits");
+  f.memory_audit = (flags & 1) != 0;
+  f.phase_start = (flags & 2) != 0;
   read_boundary_into(r, f.boundary);
   r.done();
 }

@@ -29,6 +29,7 @@
 //     start_done   (w->c) := i64 inflight | i64 halted | boundary
 //     round_begin  (c->w) := u32 round | u8 flags | boundary
 //                            flags bit 0: memory audit armed
+//                            flags bit 1: first round of a phase
 //     round_end    (w->c) := u32 round | i64 inflight | i64 halted
 //                          | u64 boundary_bytes | u64 boundary_msgs
 //                          | stats | boundary | events
@@ -121,6 +122,7 @@ struct StartDoneFrame {
 struct RoundBeginFrame {
   std::uint32_t round = 0;
   bool memory_audit = false;
+  bool phase_start = false;  ///< first round of a coordinator phase
   std::vector<BoundaryMsg> boundary;
 };
 

@@ -533,6 +533,7 @@ RunStats ShardedNetwork::run_phase(std::uint32_t max_rounds, bool until_quiet) {
     ++round_;
     rb_.round = round_;
     rb_.memory_audit = memory_audit_;
+    rb_.phase_start = executed == 0;
     // Publish round_begin to EVERY worker before blocking on ANY
     // round_end: blocking on worker 0's reply before worker 1 has its
     // round_begin serializes the cluster behind whichever worker happens

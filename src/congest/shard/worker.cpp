@@ -308,14 +308,8 @@ class WorkerState {
                                link_.collect_events ? &sink_ : nullptr);
     }
     for (const auto& [b, e] : asn_.runs[link_.shard]) {
-      net_.shard_compute_range(b, e);
-    }
-    if (rb_.memory_audit) {
-      for (const auto& [b, e] : asn_.runs[link_.shard]) {
-        re_.stats.max_node_memory_bits =
-            std::max(re_.stats.max_node_memory_bits,
-                     net_.shard_memory_max_range(b, e));
-      }
+      net_.shard_compute_range(b, e, rb_.phase_start,
+                               re_.stats.max_node_memory_bits);
     }
     re_.boundary.clear();
     ship_boundary(/*consume_round=*/rb_.round + 1, re_.boundary);

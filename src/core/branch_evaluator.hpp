@@ -45,9 +45,11 @@ class BranchEvaluator {
                          : std::max(1u, std::thread::hardware_concurrency())) {}
 
   /// Evaluates every not-yet-cached branch in `branches` exactly once,
-  /// fanning out across the worker pool. The first exception thrown by a
-  /// branch evaluation is rethrown here (on the calling thread) and
-  /// remaining work is abandoned.
+  /// fanning out across the worker pool. If evaluations throw, the
+  /// exception of the first failing branch in `branches` order is rethrown
+  /// here (on the calling thread) — the one the serial path meets first, so
+  /// the error does not depend on the thread count. Branches after it are
+  /// abandoned; workers finish every branch before it.
   void prefetch(const std::vector<std::size_t>& branches) {
     std::vector<std::size_t> missing;
     {
@@ -73,22 +75,28 @@ class BranchEvaluator {
     }
 
     if (pool_ == nullptr) pool_ = std::make_unique<ThreadPool>(num_threads_);
+    // Indices are handed out in increasing order, so once one exceeds the
+    // lowest failure seen so far, so does every later one: a worker stops
+    // there, and every index below the lowest failure still gets evaluated.
     std::atomic<std::size_t> next{0};
+    std::atomic<std::size_t> first_failure{missing.size()};
     std::exception_ptr error;
     std::mutex error_mu;
     for (std::uint32_t w = 0; w < workers; ++w) {
       pool_->submit([&] {
         for (;;) {
           const std::size_t i = next.fetch_add(1);
-          if (i >= missing.size()) return;
+          if (i >= first_failure.load()) return;
           try {
             const Value v = eval_(missing[i]);
             std::lock_guard<std::mutex> lock(mu_);
             memo_.emplace(missing[i], v);
           } catch (...) {
             std::lock_guard<std::mutex> lock(error_mu);
-            if (!error) error = std::current_exception();
-            next.store(missing.size());  // abandon remaining branches
+            if (i < first_failure.load()) {
+              first_failure.store(i);
+              error = std::current_exception();
+            }
             return;
           }
         }

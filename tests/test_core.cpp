@@ -426,26 +426,30 @@ TEST(FrontEndReports, GoldenSubroutineFailure) {
   // On a 16-node path the classical preliminaries fit in 10 bits per edge
   // but the Figure 2 waves need 12: kEnforce throws inside the branch
   // simulation, and the report carries the failure instead. (The radius
-  // oracle's one-node windows still fit.)
+  // oracle's one-node windows still fit.) The first failing branch in
+  // branch order names the reason, whatever the thread count.
   const auto g = graph::make_path(16);
   auto cfg = golden_config();
-  cfg.branch_threads = 1;  // the first failing branch names the reason
   cfg.net.bandwidth_bits = 10;
   cfg.net.policy = congest::BandwidthPolicy::kEnforce;
-  EXPECT_EQ(fields(quantum_diameter_exact(g, cfg)),
-            "diameter=0 leader=15 ecc_leader=15 total=0 init=63 t_setup=15 "
-            "t_eval=198 exhausted=0 setup=0 grover=0 checks=0 distinct=0 "
-            "ref_bfs=16 node_q=0 leader_q=0 failed=1 reason=bandwidth "
-            "violation: 12 bits on edge 0->1 in round 92 (bw=10)");
-  EXPECT_EQ(fields(quantum_radius(g, cfg)),
-            "radius=8 center=7 leader=15 total=63663 init=63 t_setup=15 "
-            "t_eval=48 exhausted=0 setup=232 grover=220 checks=235 "
-            "distinct=16 ref_bfs=16 node_q=28 leader_q=48 failed=0 reason=");
-  EXPECT_EQ(fields(quantum_diameter_decide(g, 20, cfg)),
-            "exceeds=0 witness=4294967295 threshold=20 total=0 init=63 "
-            "t_setup=15 t_eval=198 setup=0 grover=0 checks=0 distinct=0 "
-            "ref_bfs=16 node_q=0 leader_q=0 failed=1 reason=bandwidth "
-            "violation: 12 bits on edge 0->1 in round 92 (bw=10)");
+  for (const std::uint32_t threads : {1u, 4u}) {
+    SCOPED_TRACE(threads);
+    cfg.branch_threads = threads;
+    EXPECT_EQ(fields(quantum_diameter_exact(g, cfg)),
+              "diameter=0 leader=15 ecc_leader=15 total=0 init=63 t_setup=15 "
+              "t_eval=198 exhausted=0 setup=0 grover=0 checks=0 distinct=0 "
+              "ref_bfs=16 node_q=0 leader_q=0 failed=1 reason=bandwidth "
+              "violation: 12 bits on edge 0->1 in round 92 (bw=10)");
+    EXPECT_EQ(fields(quantum_radius(g, cfg)),
+              "radius=8 center=7 leader=15 total=63663 init=63 t_setup=15 "
+              "t_eval=48 exhausted=0 setup=232 grover=220 checks=235 "
+              "distinct=16 ref_bfs=16 node_q=28 leader_q=48 failed=0 reason=");
+    EXPECT_EQ(fields(quantum_diameter_decide(g, 20, cfg)),
+              "exceeds=0 witness=4294967295 threshold=20 total=0 init=63 "
+              "t_setup=15 t_eval=198 setup=0 grover=0 checks=0 distinct=0 "
+              "ref_bfs=16 node_q=0 leader_q=0 failed=1 reason=bandwidth "
+              "violation: 12 bits on edge 0->1 in round 92 (bw=10)");
+  }
 }
 
 // The core.* part of a capture: counters as name[label]=value, spans in id

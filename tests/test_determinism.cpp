@@ -6,7 +6,10 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 #include <stdexcept>
+#include <string>
+#include <thread>
 #include <vector>
 
 #include "algos/bfs_tree.hpp"
@@ -115,6 +118,32 @@ TEST(BranchEvaluator, ExceptionsPropagateToCaller) {
         threads);
     EXPECT_THROW(ev.prefetch_all(32), std::runtime_error)
         << threads << " threads";
+  }
+}
+
+TEST(BranchEvaluator, FirstFailureInBranchOrderWinsAtEveryThreadCount) {
+  // Branches 10, 17, 24 and 31 fail; branch 10 fails last in time, so a
+  // "first to fail" rule would name another branch on several threads.
+  for (std::uint32_t threads : {1u, 2u, 4u, 8u}) {
+    core::BranchEvaluator<int> ev(
+        [](std::size_t x) -> int {
+          if (x % 7 == 3 && x >= 10) {
+            if (x == 10) {
+              std::this_thread::sleep_for(std::chrono::milliseconds(30));
+            }
+            throw std::runtime_error("branch " + std::to_string(x));
+          }
+          return static_cast<int>(x);
+        },
+        threads);
+    try {
+      ev.prefetch_all(40);
+      ADD_FAILURE() << "no exception on " << threads << " threads";
+    } catch (const std::runtime_error& e) {
+      EXPECT_STREQ(e.what(), "branch 10") << threads << " threads";
+    }
+    // Every branch before the failure was evaluated and cached.
+    EXPECT_GE(ev.distinct_evaluations(), 10u) << threads << " threads";
   }
 }
 

@@ -3,12 +3,13 @@
 // failure), the no-heap-allocation-per-delivery invariant (this binary's
 // global allocator is replaced by the counting probe), the incremental
 // quiescence counters, the memory_bits sweep skip, sparse receiver-side
-// delivery against a brute-force reference simulator, and Network reuse
-// across Figure 2 branches.
+// delivery against a brute-force reference simulator, the sleep contract
+// (NodeContext::sleep_until), and Network reuse across Figure 2 branches.
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <functional>
 #include <memory>
 #include <optional>
 #include <utility>
@@ -625,6 +626,177 @@ TEST(SparseDelivery, HaltedNodeWithStaleInboxStaysSkipped) {
   net.run_rounds(3);  // keeps running past quiescence: still nobody to run
   EXPECT_EQ(net.program_as<Sleeper>(1).ran, (std::vector<std::uint32_t>{1}));
   EXPECT_TRUE(net.program_as<Sleeper>(0).ran.empty());
+}
+
+// ---------------------------------------------------------------------------
+// The sleep contract: a sleeping node's on_round is skipped until its wake
+// round unless mail arrives; the request lasts until the next on_round.
+
+/// Logs every on_round as (round, inbox size) and lets each test script
+/// what a node does at start and in each round.
+class Napper : public NodeProgram {
+ public:
+  using Script = std::function<void(Napper&, NodeContext&)>;
+  Napper(Script start, Script round)
+      : start_(std::move(start)), round_(std::move(round)) {}
+  void on_start(NodeContext& ctx) override {
+    if (start_) start_(*this, ctx);
+  }
+  void on_round(NodeContext& ctx) override {
+    ran.emplace_back(ctx.round(), ctx.inbox().size());
+    if (round_) round_(*this, ctx);
+  }
+  std::uint64_t memory_bits() const override { return memory; }
+
+  std::vector<std::pair<std::uint32_t, std::size_t>> ran;
+  std::uint64_t memory = 8;
+
+ private:
+  Script start_, round_;
+};
+
+using RunLog = std::vector<std::pair<std::uint32_t, std::size_t>>;
+
+TEST(SleepContract, SleeperRunsExactlyAtItsWakeRoundWithAnEmptyInbox) {
+  auto g = graph::make_path(3);
+  Network net(g);
+  net.init_programs([](NodeId) {
+    return std::make_unique<Napper>(
+        [](Napper&, NodeContext& ctx) { ctx.sleep_until(5); },
+        [](Napper&, NodeContext& ctx) { ctx.sleep_until(ctx.round() + 3); });
+  });
+  net.run_rounds(12);
+  for (NodeId v = 0; v < g.n(); ++v) {
+    EXPECT_EQ(net.program_as<Napper>(v).ran, (RunLog{{5, 0}, {8, 0}, {11, 0}}));
+  }
+}
+
+TEST(SleepContract, MailWakesASleeperEarly) {
+  // Node 1 mails node 0 at start (delivered in round 1) and in round 3
+  // (delivered in round 4); node 0 asks to sleep until round 10 every time
+  // it runs before it, and runs on each delivery all the same.
+  auto g = graph::make_path(2);
+  Network net(g);
+  net.init_programs([](NodeId v) {
+    if (v == 0) {
+      const auto nap = [](Napper&, NodeContext& ctx) {
+        ctx.sleep_until(ctx.round() < 10 ? 10 : NodeContext::kNever);
+      };
+      return std::make_unique<Napper>(nap, nap);
+    }
+    return std::make_unique<Napper>(
+        [](Napper&, NodeContext& ctx) {
+          ctx.send(0, Message().push(1, 1));
+          ctx.sleep_until(3);
+        },
+        [](Napper&, NodeContext& ctx) {
+          if (ctx.round() == 3) ctx.send(0, Message().push(1, 1));
+          ctx.sleep_until(NodeContext::kNever);
+        });
+  });
+  net.run_rounds(12);
+  EXPECT_EQ(net.program_as<Napper>(0).ran, (RunLog{{1, 1}, {4, 1}, {10, 0}}));
+  EXPECT_EQ(net.program_as<Napper>(1).ran, (RunLog{{3, 0}}));
+}
+
+TEST(SleepContract, SleepUntilNotAfterTheCurrentRoundIsANoOp) {
+  auto g = graph::make_path(2);
+  Network net(g);
+  net.init_programs([](NodeId v) {
+    return std::make_unique<Napper>(
+        [](Napper&, NodeContext& ctx) { ctx.sleep_until(0); },
+        [v](Napper&, NodeContext& ctx) {
+          if (v == 0) {
+            ctx.sleep_until(ctx.round());      // no-op: runs next round
+            ctx.sleep_until(ctx.round() - 1);  // no-op
+          } else if (ctx.round() == 2) {
+            ctx.sleep_until(6);
+            ctx.sleep_until(2);  // no-op: keeps the request for round 6
+          }
+        });
+  });
+  net.run_rounds(6);
+  EXPECT_EQ(net.program_as<Napper>(0).ran,
+            (RunLog{{1, 0}, {2, 0}, {3, 0}, {4, 0}, {5, 0}, {6, 0}}));
+  EXPECT_EQ(net.program_as<Napper>(1).ran, (RunLog{{1, 0}, {2, 0}, {6, 0}}));
+}
+
+TEST(SleepContract, ReinitClearsSleep) {
+  auto g = graph::make_path(3);
+  Network net(g);
+  net.init_programs([](NodeId) {
+    return std::make_unique<Napper>(
+        [](Napper&, NodeContext& ctx) { ctx.sleep_until(100); }, nullptr);
+  });
+  net.run_rounds(3);
+  EXPECT_TRUE(net.program_as<Napper>(1).ran.empty());
+  // The next programs never sleep, so they run from round 1 on.
+  net.init_programs(
+      [](NodeId) { return std::make_unique<Napper>(nullptr, nullptr); });
+  net.run_rounds(2);
+  for (NodeId v = 0; v < g.n(); ++v) {
+    EXPECT_EQ(net.program_as<Napper>(v).ran, (RunLog{{1, 0}, {2, 0}}));
+  }
+}
+
+TEST(SleepContract, SleepingNodeIsNotHalted) {
+  auto g = graph::make_path(3);
+  for (const Engine engine : {Engine::kSequential, Engine::kParallel}) {
+    NetworkConfig cfg;
+    cfg.engine = engine;
+    cfg.num_threads = 3;
+    Network net(g, cfg);
+    net.init_programs([](NodeId) {
+      return std::make_unique<Napper>(
+          [](Napper&, NodeContext& ctx) {
+            ctx.sleep_until(NodeContext::kNever);
+          },
+          nullptr);
+    });
+    const RunStats st = net.run_until_quiescent(20);
+    EXPECT_FALSE(st.quiesced);
+    EXPECT_EQ(st.rounds, 20u);
+    EXPECT_TRUE(net.program_as<Napper>(0).ran.empty());
+    // A halted node ignores a later sleep request: it waits for mail.
+    net.init_programs([](NodeId) {
+      return std::make_unique<Napper>(
+          [](Napper&, NodeContext& ctx) {
+            ctx.vote_halt();
+            ctx.sleep_until(2);
+          },
+          nullptr);
+    });
+    const RunStats halted = net.run_until_quiescent(20);
+    EXPECT_TRUE(halted.quiesced);
+    EXPECT_EQ(halted.rounds, 0u);
+    EXPECT_TRUE(net.run_rounds(4).quiesced);
+    EXPECT_TRUE(net.program_as<Napper>(0).ran.empty());
+  }
+}
+
+TEST(SleepContract, SleepersPrePhaseMemoryCountsInTheNextPhase) {
+  // Node 1 grows to 4096 bits in round 2 and then sleeps for good; the
+  // others stay awake at 8 bits. Node 1 never runs in phase 2, yet it
+  // still holds its 4096 bits there, so phase 2's maximum is 4096.
+  auto g = graph::make_path(3);
+  for (const Engine engine : {Engine::kSequential, Engine::kParallel}) {
+    NetworkConfig cfg;
+    cfg.engine = engine;
+    cfg.num_threads = 3;
+    Network net(g, cfg);
+    net.init_programs([](NodeId v) {
+      return std::make_unique<Napper>(nullptr, [v](Napper& self,
+                                                   NodeContext& ctx) {
+        if (v == 1 && ctx.round() == 2) {
+          self.memory = 4096;
+          ctx.sleep_until(NodeContext::kNever);
+        }
+      });
+    });
+    EXPECT_EQ(net.run_rounds(3).max_node_memory_bits, 4096u);
+    EXPECT_EQ(net.run_rounds(3).max_node_memory_bits, 4096u);
+    EXPECT_EQ(net.program_as<Napper>(1).ran, (RunLog{{1, 0}, {2, 0}}));
+  }
 }
 
 // ---------------------------------------------------------------------------

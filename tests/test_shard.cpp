@@ -257,17 +257,32 @@ TEST(ShardCodec, StartDoneRoundTrips) {
 
 TEST(ShardCodec, RoundBeginRoundTrips) {
   for (const bool audit : {false, true}) {
-    RoundBeginFrame f;
-    f.round = 7;
-    f.memory_audit = audit;
-    f.boundary.push_back(BoundaryMsg{31, spilled_msg()});
-    const RoundBeginFrame d = decode_round_begin(encode_round_begin(f));
-    EXPECT_EQ(d.round, f.round);
-    EXPECT_EQ(d.memory_audit, audit);
-    ASSERT_EQ(d.boundary.size(), 1u);
-    EXPECT_EQ(d.boundary[0].slot, 31u);
-    expect_eq(d.boundary[0].msg, f.boundary[0].msg);
+    for (const bool phase_start : {false, true}) {
+      RoundBeginFrame f;
+      f.round = 7;
+      f.memory_audit = audit;
+      f.phase_start = phase_start;
+      f.boundary.push_back(BoundaryMsg{31, spilled_msg()});
+      const RoundBeginFrame d = decode_round_begin(encode_round_begin(f));
+      EXPECT_EQ(d.round, f.round);
+      EXPECT_EQ(d.memory_audit, audit);
+      EXPECT_EQ(d.phase_start, phase_start);
+      ASSERT_EQ(d.boundary.size(), 1u);
+      EXPECT_EQ(d.boundary[0].slot, 31u);
+      expect_eq(d.boundary[0].msg, f.boundary[0].msg);
+    }
   }
+}
+
+TEST(ShardCodec, RoundBeginRejectsUnknownFlagBits) {
+  RoundBeginFrame f;
+  f.round = 2;
+  auto bytes = encode_round_begin(f);
+  // The flags byte follows the 4-byte common header and the u32 round.
+  const std::size_t flags_at = 8;
+  ASSERT_EQ(bytes[flags_at], 0u);
+  bytes[flags_at] = 4;
+  EXPECT_THROW(decode_round_begin(bytes), serve::ProtocolError);
 }
 
 TEST(ShardCodec, RoundEndRoundTripsIncludingStats) {
@@ -994,6 +1009,113 @@ TEST(ShardedNetwork, PerfCountersTrackBoundaryTrafficAndElision) {
     const auto got = algos::elect_leader_on(net);
     EXPECT_EQ(net.perf().events_elided, 0u);
     EXPECT_EQ(seen, got.stats.messages);
+  }
+}
+
+/// Time-driven program: node v acts without mail only in the rounds r with
+/// (r + v) % 5 == 0, mailing one port; mail is hashed, and a node halts
+/// after hearing six messages or at its first alarm from round 30 on. With
+/// `hints` it sleeps until its next alarm;
+/// without them it runs every round and its empty-inbox calls do nothing,
+/// so both must produce the same execution.
+class Alarm final : public NodeProgram {
+ public:
+  static constexpr std::uint32_t kPeriod = 5;
+  explicit Alarm(bool hints) : hints_(hints) {}
+  void on_start(NodeContext& ctx) override { nap(ctx); }
+  void on_round(NodeContext& ctx) override {
+    for (const auto& in : ctx.inbox()) {
+      sum_ = sum_ * 31 + in.msg.field(0) + in.port;
+      ++heard_;
+    }
+    const bool alarm = (ctx.round() + ctx.id()) % kPeriod == 0;
+    if (heard_ >= 6 || (alarm && ctx.round() >= 30)) {
+      ctx.vote_halt();
+    } else if (alarm && ctx.degree() > 0) {
+      ctx.send((ctx.round() / kPeriod) % ctx.degree(),
+               Message().push(heard_ % 256, 8));
+    }
+    nap(ctx);
+  }
+  std::uint64_t memory_bits() const override { return 16 + heard_; }
+
+ private:
+  void nap(NodeContext& ctx) const {
+    if (!hints_) return;
+    const std::uint32_t next = ctx.round() + 1;
+    ctx.sleep_until(next + (kPeriod - (next + ctx.id()) % kPeriod) % kPeriod);
+  }
+
+  bool hints_;
+  std::uint64_t sum_ = 0;
+  std::uint32_t heard_ = 0;
+};
+
+TEST(ShardedNetwork, SleepingProgramIsBitIdenticalOnEveryBackend) {
+  Rng rng(29);
+  const Graph g = graph::make_connected_er(40, 0.1, rng);
+  using Event = std::tuple<NodeId, NodeId, std::uint32_t, std::uint64_t>;
+  const auto record = [](std::vector<Event>& into) {
+    return std::make_shared<CallbackObserver>(
+        [&into](NodeId from, NodeId to, const Message& m,
+                std::uint32_t round) {
+          into.emplace_back(from, to, round, m.field(0));
+        });
+  };
+  // Two phases: a fixed run, then a run to quiescence.
+  const auto phases = [](auto& net, bool hints) {
+    net.init_programs(
+        [hints](NodeId) { return std::make_unique<Alarm>(hints); });
+    return std::vector<RunStats>{net.run_rounds(12),
+                                 net.run_until_quiescent(60)};
+  };
+  const auto expect_same = [](const std::vector<RunStats>& a,
+                              const std::vector<RunStats>& b,
+                              const std::string& what) {
+    ASSERT_EQ(a.size(), b.size());
+    for (std::size_t i = 0; i < a.size(); ++i) {
+      EXPECT_EQ(a[i].rounds, b[i].rounds) << what << " phase " << i;
+      EXPECT_EQ(a[i].messages, b[i].messages) << what << " phase " << i;
+      EXPECT_EQ(a[i].bits, b[i].bits) << what << " phase " << i;
+      EXPECT_EQ(a[i].max_edge_bits, b[i].max_edge_bits) << what;
+      EXPECT_EQ(a[i].quiesced, b[i].quiesced) << what << " phase " << i;
+      EXPECT_EQ(a[i].max_node_memory_bits, b[i].max_node_memory_bits)
+          << what << " phase " << i;
+    }
+  };
+
+  std::vector<Event> expect_trace;
+  std::vector<RunStats> expect;
+  {
+    NetworkConfig nc;
+    nc.observer = record(expect_trace);
+    Network net(g, nc);
+    expect = phases(net, /*hints=*/false);
+  }
+  ASSERT_TRUE(expect.back().quiesced);
+  ASSERT_GT(expect.front().max_node_memory_bits, 16u);
+  for (const Engine engine : {Engine::kSequential, Engine::kParallel}) {
+    std::vector<Event> trace;
+    NetworkConfig nc;
+    nc.engine = engine;
+    nc.num_threads = 3;
+    nc.observer = record(trace);
+    Network net(g, nc);
+    const std::string what =
+        engine == Engine::kSequential ? "sequential" : "parallel";
+    expect_same(phases(net, /*hints=*/true), expect, what);
+    EXPECT_EQ(trace, expect_trace) << what;
+  }
+  for (const std::uint32_t w : {1u, 2u, 3u}) {
+    std::vector<Event> trace;
+    ShardConfig cfg;
+    cfg.shards = w;
+    cfg.net.observer = record(trace);
+    ShardedNetwork net(g, cfg);
+    expect_same(phases(net, /*hints=*/true), expect,
+                "W=" + std::to_string(w));
+    EXPECT_EQ(trace, expect_trace) << "W=" << w;
+    net.shutdown();
   }
 }
 
