@@ -392,16 +392,6 @@ Result time_phases(congest::Network& net, std::uint32_t warm,
   return r;
 }
 
-bool same_stats(const congest::RunStats& a, const congest::RunStats& b) {
-  return a.rounds == b.rounds && a.messages == b.messages &&
-         a.bits == b.bits && a.max_edge_bits == b.max_edge_bits &&
-         a.violations == b.violations && a.quiesced == b.quiesced &&
-         a.max_node_memory_bits == b.max_node_memory_bits &&
-         a.messages_dropped == b.messages_dropped &&
-         a.messages_corrupted == b.messages_corrupted &&
-         a.crashed_node_rounds == b.crashed_node_rounds;
-}
-
 /// The Alarm program on `g`, with or without its sleep hints.
 Result run_alarm(const graph::Graph& g, bool hints, std::uint32_t warm,
                  std::uint32_t rounds, std::uint32_t reps) {
@@ -570,7 +560,7 @@ int main(int argc, char** argv) {
                  "engines disagree under an active fault plan");
   check_internal(seq_fault.total_messages < seq.total_messages,
                  "fault plan dropped no messages");
-  check_internal(same_stats(seq_sleepy.stats, seq_awake.stats) &&
+  check_internal(seq_sleepy.stats == seq_awake.stats &&
                      seq_sleepy.checksum == seq_awake.checksum,
                  "sleep hints changed the time-driven execution");
   if (check) {

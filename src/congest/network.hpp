@@ -297,6 +297,8 @@ struct RunStats {
   /// Merges stats of a later phase into this one (rounds add up, maxima
   /// combine by max, quiesced reflects the later phase).
   RunStats& operator+=(const RunStats& other);
+
+  bool operator==(const RunStats&) const = default;
 };
 
 /// A synchronous CONGEST network over a Graph topology.
