@@ -632,6 +632,8 @@ TEST(SparseDelivery, HaltedNodeWithStaleInboxStaysSkipped) {
 // The sleep contract: a sleeping node's on_round is skipped until its wake
 // round unless mail arrives; the request lasts until the next on_round.
 
+using RunLog = std::vector<std::pair<std::uint32_t, std::size_t>>;
+
 /// Logs every on_round as (round, inbox size) and lets each test script
 /// what a node does at start and in each round.
 class Napper : public NodeProgram {
@@ -648,14 +650,12 @@ class Napper : public NodeProgram {
   }
   std::uint64_t memory_bits() const override { return memory; }
 
-  std::vector<std::pair<std::uint32_t, std::size_t>> ran;
+  RunLog ran;
   std::uint64_t memory = 8;
 
  private:
   Script start_, round_;
 };
-
-using RunLog = std::vector<std::pair<std::uint32_t, std::size_t>>;
 
 TEST(SleepContract, SleeperRunsExactlyAtItsWakeRoundWithAnEmptyInbox) {
   auto g = graph::make_path(3);
