@@ -15,13 +15,12 @@
 //     (--sources=K samples K roots; --sources=0 sweeps all n, which is
 //     exactly the full EccEngine sweep the acceptance numbers quote).
 //
-// Emits a machine-readable JSON summary (stdout and, with --out=FILE, to
-// disk) that seeds the BENCH_ecc.json baseline checked in at the repo root
-// and uploaded as a CI artifact.
+// `--out=FILE` writes the run's record (bench/harness.hpp): the first line
+// of the BENCH_ecc.json baseline checked in at the repo root, and a CI
+// artifact.
 
 #include <chrono>
-#include <fstream>
-#include <sstream>
+#include <string>
 #include <vector>
 
 #include "bench/harness.hpp"
@@ -36,45 +35,13 @@ using namespace qc::bench;
 
 namespace {
 
-double ms_since(std::chrono::steady_clock::time_point t0) {
-  const auto dt = std::chrono::steady_clock::now() - t0;
-  return std::chrono::duration<double, std::milli>(dt).count();
-}
-
-struct KernelRow {
-  std::string graph_name;
-  std::uint32_t n = 0;
-  std::uint64_t m = 0;
-  std::uint32_t sources = 0;
-  double flat_ms = 0;
-  double push_ms = 0;
-  double diropt_ms = 0;
-  std::uint32_t diropt_pull_levels = 0;
-  bool equal = false;
-};
-
-// Deterministically spread K roots across the id space (K = n hits every
-// vertex exactly once, in order — the full-sweep case).
-std::vector<graph::NodeId> pick_sources(std::uint32_t n, std::uint32_t k) {
-  std::vector<graph::NodeId> out;
-  out.reserve(k);
-  for (std::uint32_t i = 0; i < k; ++i) {
-    out.push_back(static_cast<graph::NodeId>(
-        (static_cast<std::uint64_t>(i) * n) / k));
-  }
-  return out;
-}
-
-KernelRow kernel_shootout(const graph::Graph& g, const std::string& name,
-                          std::uint32_t sources) {
-  KernelRow row;
-  row.graph_name = name;
-  row.n = g.n();
-  row.m = g.m();
+/// Times the three sweep kernels on `g` from the same `sources` roots and
+/// records them as one row of `rec`.
+void kernel_shootout(const graph::Graph& g, const std::string& name,
+                     std::uint32_t sources, Record& rec) {
   const std::uint32_t k =
       (sources == 0 || sources > g.n()) ? g.n() : sources;
-  row.sources = k;
-  const auto roots = pick_sources(g.n(), k);
+  const auto roots = spread_roots(g.n(), k);
 
   std::vector<std::uint32_t> flat(k), push(k), diropt(k);
 
@@ -83,7 +50,7 @@ KernelRow kernel_shootout(const graph::Graph& g, const std::string& name,
   for (std::uint32_t i = 0; i < k; ++i) {
     flat[i] = graph::flat_bfs_distances(g, roots[i], scratch);
   }
-  row.flat_ms = ms_since(t_flat);
+  const double flat_ms = ms_since(t_flat);
 
   graph::MultiBfsScratch mscratch;
   const auto run_batches = [&](std::vector<std::uint32_t>& out,
@@ -101,42 +68,26 @@ KernelRow kernel_shootout(const graph::Graph& g, const std::string& name,
 
   const auto t_push = std::chrono::steady_clock::now();
   run_batches(push, graph::MultiBfsDirection::kPushOnly);
-  row.push_ms = ms_since(t_push);
+  const double push_ms = ms_since(t_push);
 
   const auto t_diropt = std::chrono::steady_clock::now();
-  row.diropt_pull_levels =
+  const std::uint32_t pull_levels =
       run_batches(diropt, graph::MultiBfsDirection::kOptimized);
-  row.diropt_ms = ms_since(t_diropt);
+  const double diropt_ms = ms_since(t_diropt);
 
-  row.equal = flat == push && flat == diropt;
-  check_internal(row.equal,
+  check_internal(flat == push && flat == diropt,
                  "bench_ecc_engine: kernels disagree on eccentricities");
-  return row;
-}
-
-void print_kernel_row(Table& t, const KernelRow& r) {
-  const double base = std::max(r.flat_ms, 1e-6);
-  t.add_row({r.graph_name, fmt(r.n), fmt(r.m), fmt(r.sources),
-             fmt(r.flat_ms, 1), fmt(r.push_ms, 1), fmt(r.diropt_ms, 1),
-             fmt(base / std::max(r.push_ms, 1e-6), 1),
-             fmt(base / std::max(r.diropt_ms, 1e-6), 1)});
-}
-
-void emit_kernel_row(std::ostringstream& json, const KernelRow& r,
-                     bool last) {
-  const double base = std::max(r.flat_ms, 1e-6);
-  json << "    {\"graph\": \"" << r.graph_name << "\", \"n\": " << r.n
-       << ", \"m\": " << r.m << ", \"sources\": " << r.sources << ",\n"
-       << "     \"flat_ms\": " << fmt(r.flat_ms, 3)
-       << ", \"push_ms\": " << fmt(r.push_ms, 3)
-       << ", \"diropt_ms\": " << fmt(r.diropt_ms, 3) << ",\n"
-       << "     \"speedup_push\": "
-       << fmt(base / std::max(r.push_ms, 1e-6), 2)
-       << ", \"speedup_diropt\": "
-       << fmt(base / std::max(r.diropt_ms, 1e-6), 2)
-       << ", \"pull_levels\": " << r.diropt_pull_levels
-       << ", \"results_equal\": " << (r.equal ? "true" : "false") << "}"
-       << (last ? "" : ",") << "\n";
+  const double base = std::max(flat_ms, 1e-6);
+  rec.row(name)
+      .add("n", g.n())
+      .add("m", g.m())
+      .add("sources", k)
+      .add("flat_ms", Value(flat_ms, 3))
+      .add("push_ms", Value(push_ms, 3))
+      .add("diropt_ms", Value(diropt_ms, 3))
+      .add("speedup_push", Value(base / std::max(push_ms, 1e-6), 2))
+      .add("speedup_diropt", Value(base / std::max(diropt_ms, 1e-6), 2))
+      .add("pull_levels", pull_levels);
 }
 
 }  // namespace
@@ -144,12 +95,11 @@ void emit_kernel_row(std::ostringstream& json, const KernelRow& r,
 int main(int argc, char** argv) {
   const auto opt = BenchOptions::parse(
       argc, argv, {"out", "n", "d", "dataset", "sources"});
-  Cli cli(argc, argv);
+  const Cli& cli = opt.cli;
   const auto n =
       static_cast<std::uint32_t>(cli.get_int("n", opt.quick ? 192 : 512));
   const auto d =
       static_cast<std::uint32_t>(cli.get_int("d", opt.quick ? 12 : 32));
-  const std::string out = cli.get_string("out", "");
   const std::string dataset = cli.get_string("dataset", "");
   const auto sources = static_cast<std::uint32_t>(
       cli.get_int("sources", opt.quick ? 1024 : 0));
@@ -207,56 +157,33 @@ int main(int argc, char** argv) {
     }
   }
 
-  const double speedup = naive_ms / std::max(engine_ms, 1e-6);
-  Table t({"n", "d", "steps", "branches", "naive BFS", "engine BFS",
-           "naive ms", "engine ms", "speedup"});
-  t.add_row({fmt(n), fmt(d), fmt(steps), fmt(g.n()), fmt(naive_bfs),
-             fmt(engine.bfs_runs()), fmt(naive_ms, 1), fmt(engine_ms, 1),
-             fmt(speedup, 1)});
-  t.print(std::cout);
+  Record rec("ecc_engine");
+  rec.param("quick", opt.quick)
+      .param("n", n)
+      .param("d", d)
+      .param("sources", sources)
+      .param("dataset", dataset.empty() ? Value() : Value(dataset));
+  rec.row("engine_vs_naive")
+      .add("steps", steps)
+      .add("branches", g.n())
+      .add("naive_bfs_runs", naive_bfs)
+      .add("engine_bfs_runs", engine.bfs_runs())
+      .add("naive_ms", Value(naive_ms, 3))
+      .add("engine_ms", Value(engine_ms, 3))
+      .add("speedup", Value(naive_ms / std::max(engine_ms, 1e-6), 2));
+  rec.print_table(std::cout, 0, 1);
 
   // Kernel shoot-out: synthetic workload always; the dataset too when
   // --dataset is given.
-  std::vector<KernelRow> kernel_rows;
-  kernel_rows.push_back(
-      kernel_shootout(g, "rwd:" + std::to_string(n), sources));
+  kernel_shootout(g, "rwd:" + std::to_string(n), sources, rec);
   if (!dataset.empty()) {
-    const auto loaded = graph::load_graph_file(dataset);
-    auto base = dataset.substr(dataset.find_last_of('/') + 1);
-    kernel_rows.push_back(kernel_shootout(loaded, base, sources));
+    kernel_shootout(graph::load_graph_file(dataset),
+                    dataset.substr(dataset.find_last_of('/') + 1), sources,
+                    rec);
   }
-
   std::cout << "\n";
-  Table kt({"graph", "n", "m", "sources", "flat ms", "push ms", "diropt ms",
-            "push x", "diropt x"});
-  for (const auto& r : kernel_rows) print_kernel_row(kt, r);
-  kt.print(std::cout);
+  rec.print_table(std::cout, 1);
 
-  std::ostringstream json;
-  json << "{\n"
-       << "  \"bench\": \"ecc_engine\",\n"
-       << "  \"quick\": " << (opt.quick ? "true" : "false") << ",\n"
-       << "  \"n\": " << n << ",\n"
-       << "  \"d\": " << d << ",\n"
-       << "  \"steps\": " << steps << ",\n"
-       << "  \"branches\": " << g.n() << ",\n"
-       << "  \"naive_bfs_runs\": " << naive_bfs << ",\n"
-       << "  \"engine_bfs_runs\": " << engine.bfs_runs() << ",\n"
-       << "  \"naive_ms\": " << fmt(naive_ms, 3) << ",\n"
-       << "  \"engine_ms\": " << fmt(engine_ms, 3) << ",\n"
-       << "  \"speedup\": " << fmt(speedup, 2) << ",\n"
-       << "  \"results_equal\": true,\n"
-       << "  \"kernels\": [\n";
-  for (std::size_t i = 0; i < kernel_rows.size(); ++i) {
-    emit_kernel_row(json, kernel_rows[i], i + 1 == kernel_rows.size());
-  }
-  json << "  ]\n}\n";
-  std::cout << "\n" << json.str();
-  if (!out.empty()) {
-    std::ofstream f(out);
-    require(f.good(), "bench_ecc_engine: cannot open --out file " + out);
-    f << json.str();
-    std::cout << "wrote " << out << "\n";
-  }
+  rec.write(cli.get_string("out", ""));
   return 0;
 }

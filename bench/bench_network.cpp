@@ -12,7 +12,8 @@
 // against the new engines by message count, bit count and an inbox
 // checksum. `--check` turns the parity comparisons and the zero-allocation
 // assertion into hard failures (CI runs it under ASan/TSan); `--out=FILE`
-// emits the JSON summary that seeds BENCH_net.json at the repo root.
+// writes the run's record (bench/harness.hpp), which is BENCH_net.json at
+// the repo root.
 //
 // The `seq_sparse` row is the opposite traffic shape: a handful of tokens
 // walking data/synth-p2p-10k.qcg (`--dataset=FILE` to override), so each
@@ -26,16 +27,13 @@
 // `seq_awake` runs every node every round; their stats and checksum must be
 // identical, and the ns/round gap is what idle nodes cost a round.
 //
-// The `messages` column is the total over all timed repetitions, which is
-// deterministic even when a fault plan drops a different set each
+// The `messages_all_reps` column is the total over all timed repetitions,
+// which is deterministic even when a fault plan drops a different set each
 // repetition; the rates are those of the fastest repetition.
 
 #include <algorithm>
-#include <chrono>
-#include <fstream>
+#include <filesystem>
 #include <memory>
-#include <sstream>
-#include <thread>
 #include <utility>
 #include <vector>
 
@@ -44,7 +42,6 @@
 #include "congest/observer.hpp"
 #include "graph/io.hpp"
 #include "util/alloc_probe.hpp"
-#include "util/bits.hpp"
 #include "util/error.hpp"
 
 QC_INSTALL_ALLOC_PROBE();
@@ -53,56 +50,6 @@ using namespace qc;
 using namespace qc::bench;
 
 namespace {
-
-double ms_since(std::chrono::steady_clock::time_point t0) {
-  const auto dt = std::chrono::steady_clock::now() - t0;
-  return std::chrono::duration<double, std::milli>(dt).count();
-}
-
-/// Order-sensitive per-node hash of delivered (port, fields); summing the
-/// per-node hashes gives a workload checksum that every engine and the
-/// legacy baseline must reproduce exactly on fault-free runs.
-std::uint64_t mix(std::uint64_t h, std::uint64_t v) {
-  return h ^ (v + 0x9e3779b97f4a7c15ULL + (h << 6) + (h >> 2));
-}
-
-/// Width of the flooding message's round field: 16 bits, narrowed on tiny
-/// graphs so (id, round) fits the model bandwidth (n = 512 and the 10k
-/// dataset keep all 16).
-std::uint32_t flood_round_bits(std::uint32_t n) {
-  return std::min(16u, congest_bandwidth_bits(n) - qc::bit_width_for(n));
-}
-
-/// Flooding program for the new engines: broadcast (id, round) each round,
-/// hash everything heard. memory_bits() stays 0, so the engine's audit
-/// sweep disarms after round 1 — exactly the non-reporting common case the
-/// skip optimization targets.
-class Flood final : public congest::NodeProgram {
- public:
-  explicit Flood(std::uint32_t round_bits) : round_bits_(round_bits) {}
-
-  void on_start(congest::NodeContext& ctx) override { blast(ctx); }
-
-  void on_round(congest::NodeContext& ctx) override {
-    for (const auto& in : ctx.inbox()) {
-      sum_ = mix(mix(mix(sum_, in.port), in.msg.field(0)), in.msg.field(1));
-    }
-    blast(ctx);
-  }
-
-  std::uint64_t sum() const { return sum_; }
-
- private:
-  void blast(congest::NodeContext& ctx) const {
-    congest::Message m;
-    m.push(ctx.id(), ctx.id_bits());
-    m.push(ctx.round() & ((1u << round_bits_) - 1), round_bits_);
-    ctx.broadcast(m);
-  }
-
-  std::uint32_t round_bits_;
-  std::uint64_t sum_ = 0;
-};
 
 /// Sparse traffic: tokens start at `walkers` spread-out nodes and move one
 /// hop per round. A token that arrived on port p leaves on port
@@ -172,30 +119,6 @@ class Alarm final : public congest::NodeProgram {
   std::uint64_t sum_ = 0;
 };
 
-struct Result {
-  double ms = 0.0;               ///< best (min) timed repetition
-  std::uint64_t messages = 0;    ///< deliveries in that repetition
-  std::uint64_t total_messages = 0;  ///< deliveries across all repetitions
-  std::uint64_t total_bits = 0;
-  std::uint64_t checksum = 0;
-  std::uint64_t allocs = 0;  ///< heap allocations across all timed phases
-  congest::RunStats stats;   ///< lifetime stats (new engines only)
-
-  double msgs_per_sec() const {
-    return static_cast<double>(messages) / std::max(ms, 1e-9) * 1e3;
-  }
-  double ns_per_delivery() const {
-    return ms * 1e6 / static_cast<double>(std::max<std::uint64_t>(messages, 1));
-  }
-  double ns_per_round(std::uint32_t rounds) const {
-    return ms * 1e6 / static_cast<double>(std::max<std::uint32_t>(rounds, 1));
-  }
-  double allocs_per_delivery() const {
-    return static_cast<double>(allocs) /
-           static_cast<double>(std::max<std::uint64_t>(total_messages, 1));
-  }
-};
-
 }  // namespace
 
 // A faithful port of the seed's delivery path, kept private to this binary
@@ -244,11 +167,6 @@ struct Auditor {
   virtual std::uint64_t memory_bits() const { return 0; }
 };
 
-struct Tally {
-  std::uint64_t messages = 0;
-  std::uint64_t bits = 0;
-};
-
 class Sim {
  public:
   explicit Sim(const graph::Graph& g)
@@ -268,7 +186,9 @@ class Sim {
     for (graph::NodeId v = 0; v < n_; ++v) blast(v);  // on_start
   }
 
-  void run_rounds(std::uint32_t rounds, Tally& t) {
+  congest::RunStats run_rounds(std::uint32_t rounds) {
+    congest::RunStats t;
+    t.rounds = rounds;
     for (std::uint32_t r = 0; r < rounds; ++r) {
       ++round_;
       for (graph::NodeId w = 0; w < n_; ++w) {  // delivery
@@ -300,9 +220,13 @@ class Sim {
       }
       std::uint64_t mx = 0;  // unconditional virtual memory sweep
       for (const auto& a : auditors_) mx = std::max(mx, a->memory_bits());
-      max_memory_bits_ = std::max(max_memory_bits_, mx);
+      t.max_node_memory_bits = std::max(t.max_node_memory_bits, mx);
     }
+    stats_ += t;
+    return t;
   }
+
+  const congest::RunStats& stats() const { return stats_; }
 
   std::uint64_t checksum() const {
     std::uint64_t s = 0;
@@ -330,70 +254,21 @@ class Sim {
   std::vector<Node> nodes_;
   std::vector<std::uint64_t> sums_;
   std::vector<std::unique_ptr<Auditor>> auditors_;
-  std::uint64_t max_memory_bits_ = 0;
+  congest::RunStats stats_;
 };
 
 }  // namespace legacy
 
 namespace {
 
-// Wall-clock noise is the enemy of a committed speedup number: each config
-// runs `reps` timed phases over one warmed-up network and reports the best
-// (minimum-time) phase, while the parity fields accumulate over the whole
-// run so the correctness gates still cover every executed round.
-Result run_legacy(const graph::Graph& g, std::uint32_t warm,
+Phases run_legacy(const graph::Graph& g, std::uint32_t warm,
                   std::uint32_t rounds, std::uint32_t reps) {
   legacy::Sim sim(g);
-  legacy::Tally discard;
-  sim.run_rounds(warm, discard);
-  Result r;
-  const std::uint64_t a0 = qc::alloc_probe_count().load();
-  for (std::uint32_t rep = 0; rep < reps; ++rep) {
-    legacy::Tally t;
-    const auto t0 = std::chrono::steady_clock::now();
-    sim.run_rounds(rounds, t);
-    const double ms = ms_since(t0);
-    if (rep == 0 || ms < r.ms) {
-      r.ms = ms;
-      r.messages = t.messages;
-    }
-    r.total_messages += t.messages;
-    r.total_bits += t.bits;
-  }
-  r.allocs = qc::alloc_probe_count().load() - a0;
-  r.checksum = sim.checksum();
-  return r;
-}
-
-/// Warms `net` up, then times `reps` phases of `rounds` rounds each; the
-/// checksum sums Program::sum() over every node.
-template <typename Program>
-Result time_phases(congest::Network& net, std::uint32_t warm,
-                   std::uint32_t rounds, std::uint32_t reps) {
-  net.run_rounds(warm);
-  Result r;
-  const std::uint64_t a0 = qc::alloc_probe_count().load();
-  for (std::uint32_t rep = 0; rep < reps; ++rep) {
-    const auto t0 = std::chrono::steady_clock::now();
-    const congest::RunStats st = net.run_rounds(rounds);
-    const double ms = ms_since(t0);
-    if (rep == 0 || ms < r.ms) {
-      r.ms = ms;
-      r.messages = st.messages;
-    }
-    r.total_messages += st.messages;
-    r.total_bits += st.bits;
-  }
-  r.allocs = qc::alloc_probe_count().load() - a0;
-  r.stats = net.stats();
-  for (graph::NodeId v = 0; v < net.n(); ++v) {
-    r.checksum += net.program_as<Program>(v).sum();
-  }
-  return r;
+  return time_phases<Flood>(sim, warm, rounds, reps);
 }
 
 /// The Alarm program on `g`, with or without its sleep hints.
-Result run_alarm(const graph::Graph& g, bool hints, std::uint32_t warm,
+Phases run_alarm(const graph::Graph& g, bool hints, std::uint32_t warm,
                  std::uint32_t rounds, std::uint32_t reps) {
   congest::Network net(g);
   net.init_programs(
@@ -401,7 +276,7 @@ Result run_alarm(const graph::Graph& g, bool hints, std::uint32_t warm,
   return time_phases<Alarm>(net, warm, rounds, reps);
 }
 
-Result run_new(const graph::Graph& g, congest::Engine engine,
+Phases run_new(const graph::Graph& g, congest::Engine engine,
                bool with_observer, bool with_fault, std::uint64_t seed,
                std::uint32_t warm, std::uint32_t rounds, std::uint32_t reps) {
   congest::NetworkConfig cfg;
@@ -419,11 +294,7 @@ Result run_new(const graph::Graph& g, congest::Engine engine,
     cfg.fault.seed = 99;
   }
   congest::Network net(g, cfg);
-  const std::uint32_t round_bits = flood_round_bits(g.n());
-  net.init_programs([round_bits](graph::NodeId) {
-    return std::make_unique<Flood>(round_bits);
-  });
-  const Result r = time_phases<Flood>(net, warm, rounds, reps);
+  const Phases r = time_flood(net, warm, rounds, reps);
   if (with_observer) {
     check_internal(*observed == net.stats().messages,
                    "observer saw a different delivery count than the stats");
@@ -434,7 +305,7 @@ Result run_new(const graph::Graph& g, congest::Engine engine,
 /// Up to `walkers` tokens on `g` (see Walk): a start node without a port
 /// launches none. Every round carries exactly one message per launched
 /// token, which the token-count gate checks.
-Result run_sparse(const graph::Graph& g, std::uint32_t walkers,
+Phases run_sparse(const graph::Graph& g, std::uint32_t walkers,
                   std::uint32_t warm, std::uint32_t rounds,
                   std::uint32_t reps) {
   congest::Network net(g);
@@ -446,7 +317,7 @@ Result run_sparse(const graph::Graph& g, std::uint32_t walkers,
     tokens += starts ? 1 : 0;
     return std::make_unique<Walk>(starts);
   });
-  const Result r = time_phases<Walk>(net, warm, rounds, reps);
+  const Phases r = time_phases<Walk>(net, warm, rounds, reps);
   check_internal(r.total_messages == tokens * rounds * reps,
                  "sparse walk lost or duplicated a token");
   return r;
@@ -458,7 +329,7 @@ int main(int argc, char** argv) {
   const auto opt =
       BenchOptions::parse(argc, argv,
                           {"out", "n", "d", "rounds", "check", "dataset"});
-  Cli cli(argc, argv);
+  const Cli& cli = opt.cli;
   const auto n =
       static_cast<std::uint32_t>(cli.get_int("n", opt.quick ? 192 : 512));
   const auto d =
@@ -466,7 +337,6 @@ int main(int argc, char** argv) {
   const auto rounds = static_cast<std::uint32_t>(
       cli.get_int("rounds", opt.quick ? 60 : 240));
   const bool check = cli.get_bool("check", false);
-  const std::string out = cli.get_string("out", "");
   const std::string dataset = cli.get_string(
       "dataset", std::string(QC_DATA_DIR) + "/synth-p2p-10k.qcg");
   const std::uint32_t warm = 8;
@@ -480,7 +350,7 @@ int main(int argc, char** argv) {
 
   struct NamedResult {
     const char* name;
-    Result r;
+    Phases r;
   };
   std::vector<NamedResult> results;
   results.push_back({"legacy_seq", run_legacy(g, warm, rounds, reps)});
@@ -514,25 +384,44 @@ int main(int argc, char** argv) {
   results.push_back(
       {"seq_sleepy", run_alarm(sparse_g, true, warm, rounds, reps)});
 
-  Table t({"config", "ms", "messages (all reps)", "msgs/sec", "ns/delivery",
-           "ns/round", "allocs/delivery"});
+  Record rec("network_delivery");
+  rec.param("quick", opt.quick)
+      .param("n", n)
+      .param("d", d)
+      .param("edges", g.m())
+      .param("rounds", rounds)
+      .param("reps", reps)
+      .param("warmup_rounds", warm)
+      .param("bandwidth_bits", congest_bandwidth_bits(n))
+      .param("dataset", std::filesystem::path(dataset).filename().string())
+      .param("dataset_n", sparse_g.n())
+      .param("dataset_edges", sparse_g.m())
+      .param("walkers", walkers);
   for (const auto& [name, r] : results) {
-    t.add_row({name, fmt(r.ms, 1), fmt(r.total_messages),
-               fmt(r.msgs_per_sec(), 0),
-               fmt(r.ns_per_delivery(), 1), fmt(r.ns_per_round(rounds), 1),
-               fmt(r.allocs_per_delivery(), 4)});
+    const double per_round =
+        r.ms * 1e6 / static_cast<double>(std::max<std::uint32_t>(rounds, 1));
+    const double allocs_per_delivery =
+        static_cast<double>(r.allocs) /
+        static_cast<double>(std::max<std::uint64_t>(r.total_messages, 1));
+    rec.row(name)
+        .add("ms", Value(r.ms, 3))
+        .add("messages_all_reps", r.total_messages)
+        .add("msgs_per_sec", Value(r.msgs_per_sec(), 0))
+        .add("ns_per_delivery", Value(r.ns_per_delivery(), 1))
+        .add("ns_per_round", Value(per_round, 1))
+        .add("allocs_per_delivery", Value(allocs_per_delivery, 4));
   }
-  t.print(std::cout);
+  rec.print_table(std::cout);
 
-  const Result& legacy_r = results[0].r;
-  const Result& seq = results[1].r;
-  const Result& seq_fault = results[3].r;
-  const Result& par = results[4].r;
-  const Result& par_fault = results[5].r;
-  const Result& seq_dataset = results[7].r;
-  const Result& par_dataset = results[8].r;
-  const Result& seq_awake = results[9].r;
-  const Result& seq_sleepy = results[10].r;
+  const Phases& legacy_r = results[0].r;
+  const Phases& seq = results[1].r;
+  const Phases& seq_fault = results[3].r;
+  const Phases& par = results[4].r;
+  const Phases& par_fault = results[5].r;
+  const Phases& seq_dataset = results[7].r;
+  const Phases& par_dataset = results[8].r;
+  const Phases& seq_awake = results[9].r;
+  const Phases& seq_sleepy = results[10].r;
   const double speedup = seq.msgs_per_sec() / legacy_r.msgs_per_sec();
   std::cout << "\nsequential speedup vs legacy: " << fmt(speedup, 2)
             << "x  (" << fmt(legacy_r.ns_per_delivery(), 1) << " -> "
@@ -569,43 +458,6 @@ int main(int argc, char** argv) {
     std::cout << "check mode: parity + zero-allocation assertions passed\n";
   }
 
-  std::ostringstream json;
-  json << "{\n"
-       << "  \"bench\": \"network_delivery\",\n"
-       << "  \"quick\": " << (opt.quick ? "true" : "false") << ",\n"
-       << "  \"n\": " << n << ",\n"
-       << "  \"d\": " << d << ",\n"
-       << "  \"edges\": " << g.m() << ",\n"
-       << "  \"rounds\": " << rounds << ",\n"
-       << "  \"reps\": " << reps << ",\n"
-       << "  \"warmup_rounds\": " << warm << ",\n"
-       << "  \"bandwidth_bits\": " << congest_bandwidth_bits(n) << ",\n"
-       << "  \"host_cpus\": " << std::thread::hardware_concurrency() << ",\n"
-       << "  \"sparse_graph\": {\"n\": " << sparse_g.n()
-       << ", \"edges\": " << sparse_g.m() << ", \"walkers\": " << walkers
-       << "},\n"
-       << "  \"configs\": {\n";
-  for (std::size_t i = 0; i < results.size(); ++i) {
-    const auto& [name, r] = results[i];
-    json << "    \"" << name << "\": {\"ms\": " << fmt(r.ms, 3)
-         << ", \"messages\": " << r.messages
-         << ", \"msgs_per_sec\": " << fmt(r.msgs_per_sec(), 0)
-         << ", \"ns_per_delivery\": " << fmt(r.ns_per_delivery(), 1)
-         << ", \"ns_per_round\": " << fmt(r.ns_per_round(rounds), 1)
-         << ", \"allocs_per_delivery\": " << fmt(r.allocs_per_delivery(), 4)
-         << "}" << (i + 1 < results.size() ? "," : "") << "\n";
-  }
-  json << "  },\n"
-       << "  \"speedup_seq_vs_legacy\": " << fmt(speedup, 2) << ",\n"
-       << "  \"seq_steady_state_allocs\": " << seq.allocs << ",\n"
-       << "  \"results_equal\": true\n"
-       << "}\n";
-  std::cout << "\n" << json.str();
-  if (!out.empty()) {
-    std::ofstream f(out);
-    require(f.good(), "bench_network: cannot open --out file " + out);
-    f << json.str();
-    std::cout << "wrote " << out << "\n";
-  }
+  rec.write(cli.get_string("out", ""));
   return 0;
 }

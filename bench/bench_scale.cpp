@@ -9,25 +9,22 @@
 //   --quick    CI smoke: the two committed datasets, loads + BFS + double
 //              sweep only (plus CONGEST ecc on the 10k graph)
 //   (default)  + the distributed O(D) eccentricity on the 100k graph
-//   --full     + full EccEngine diameter/radius on the 100k graph and a
-//              generated-and-cached 10^6-node graph, including the
+//   --full     + full EccEngine diameter/radius on the 10k and 100k graphs
+//              and a generated-and-cached 10^6-node graph, including the
 //              exhaustive n-BFS engine sweep (bit-parallel kernel)
 //
-// Every config a mode skips leaves an explicit entry in the row's
-// "skipped" JSON array, so BENCH_*.json trajectories distinguish "not
-// run in this mode" from "missing".
+// Every row lists every column; a value this mode did not measure is
+// null, and the row's "skipped" column names what was skipped and why, so
+// BENCH_*.json trajectories distinguish "not run in this mode" from
+// "missing".
 //
-// Emits a JSON summary (stdout and --out=FILE); full-mode rows seed the
-// "scale" sections committed in BENCH_ecc.json / BENCH_net.json.
+// `--out=FILE` writes the run's record (bench/harness.hpp); the full-mode
+// record is the last line of BENCH_ecc.json.
 
 #include <chrono>
 #include <filesystem>
-#include <fstream>
-#include <optional>
-#include <sstream>
 #include <string>
-#include <thread>
-#include <vector>
+#include <utility>
 
 #include "algos/bfs_tree.hpp"
 #include "bench/harness.hpp"
@@ -44,76 +41,56 @@ namespace {
 
 namespace fs = std::filesystem;
 
-double ms_since(std::chrono::steady_clock::time_point t0) {
-  const auto dt = std::chrono::steady_clock::now() - t0;
-  return std::chrono::duration<double, std::milli>(dt).count();
+/// A row holding every column of this bench as null, in table order.
+Row& new_row(Record& rec, const std::string& dataset) {
+  Row& r = rec.row(dataset);
+  for (const char* key :
+       {"n", "m", "text_load_ms", "varint_load_ms", "raw_load_ms", "mapped",
+        "bfs_sources", "bfs_avg_ms", "dsweep_lb", "congest_ecc_root0",
+        "congest_rounds", "congest_messages", "engine_diameter",
+        "engine_radius", "engine_bfs_runs", "engine_kernel", "engine_ms",
+        "sampled_lb", "skipped"}) {
+    r.add(key, Value());
+  }
+  return r;
 }
 
-struct CongestRow {
-  std::uint32_t ecc = 0;
-  std::uint32_t rounds = 0;
-  std::uint64_t messages = 0;
-};
-
-struct EngineRow {
-  std::uint32_t diameter = 0;
-  std::uint32_t radius = 0;
-  std::uint64_t bfs_runs = 0;
-  std::string kernel;
-  std::uint32_t threads = 0;
-  double ms = 0;
-};
-
-struct ScaleRow {
-  std::string dataset;
-  std::uint32_t n = 0;
-  std::uint64_t m = 0;
-  std::optional<double> text_load_ms;
-  std::optional<double> varint_load_ms;
-  std::optional<double> raw_load_ms;
-  bool mapped = false;
-  std::uint32_t bfs_sources = 0;
-  double bfs_avg_ms = 0;
-  std::uint32_t dsweep_lb = 0;
-  std::optional<CongestRow> congest;
-  std::optional<EngineRow> engine;
-  std::optional<std::uint32_t> sampled_lb;  ///< max ecc over sampled roots
-  std::vector<std::string> skipped;  ///< configs this mode did not run
-};
-
-struct TimedLoad {
-  graph::Graph g;
-  double ms = 0;
-};
-
-TimedLoad time_load(const std::string& path) {
+/// Loads `path` and records the load time under `key`.
+graph::Graph timed_load(const std::string& path, Row& row, const char* key) {
   const auto t0 = std::chrono::steady_clock::now();
   auto g = graph::load_graph_file(path);
-  const double ms = ms_since(t0);
-  return {std::move(g), ms};
+  row.add(key, Value(ms_since(t0), 2));
+  return g;
 }
 
-// Records a skipped config both in the JSON row and on stdout.
-void skip(ScaleRow& row, const std::string& what, const std::string& why) {
-  row.skipped.push_back(what + " (" + why + ")");
-  std::cout << "skipped (" << why << "): " << what << " [" << row.dataset
+/// Loads the raw-CSR file `path` as a zero-copy view and records its load
+/// time and shape.
+graph::Graph raw_view(const std::string& path, Row& row) {
+  auto g = timed_load(path, row, "raw_load_ms");
+  row.add("mapped", g.is_view()).add("n", g.n()).add("m", g.m());
+  return g;
+}
+
+// Records a skipped config both in the row and on stdout.
+void skip(std::string& skipped, const std::string& dataset,
+          const std::string& what, const std::string& why) {
+  skipped += (skipped.empty() ? "" : "; ") + what + " (" + why + ")";
+  std::cout << "skipped (" << why << "): " << what << " [" << dataset
             << "]\n";
 }
 
 // k-source flat BFS: average per-source time, plus the double-sweep lower
-// bound (BFS from 0, then from the farthest *reachable* vertex found).
-void measure_bfs(const graph::Graph& g, std::uint32_t sources,
-                 ScaleRow& row) {
+// bound (BFS from 0, then from the farthest *reachable* vertex found),
+// which it returns.
+std::uint32_t measure_bfs(const graph::Graph& g, std::uint32_t sources,
+                          Row& row) {
   graph::BfsScratch scratch;
   const auto t0 = std::chrono::steady_clock::now();
-  // Spread the roots deterministically across the id space.
-  for (std::uint32_t i = 0; i < sources; ++i) {
-    const auto root = static_cast<graph::NodeId>(
-        (static_cast<std::uint64_t>(i) * g.n()) / sources);
+  for (const graph::NodeId root : spread_roots(g.n(), sources)) {
     graph::flat_bfs_distances(g, root, scratch);
   }
-  row.bfs_sources = sources;
-  row.bfs_avg_ms = ms_since(t0) / sources;
+  row.add("bfs_sources", sources)
+      .add("bfs_avg_ms", Value(ms_since(t0) / sources, 3));
 
   graph::flat_bfs_distances(g, 0, scratch);
   graph::NodeId far = 0;
@@ -124,68 +101,32 @@ void measure_bfs(const graph::Graph& g, std::uint32_t sources,
     }
   }
   graph::flat_bfs_distances(g, far, scratch);
-  row.dsweep_lb = scratch.finite_ecc;
+  row.add("dsweep_lb", scratch.finite_ecc);
+  return scratch.finite_ecc;
 }
 
-CongestRow congest_ecc(const graph::Graph& g) {
+void congest_ecc(const graph::Graph& g, Row& row) {
   const auto out = algos::compute_eccentricity(g, 0);
   check_internal(out.status == algos::PhaseStatus::kQuiesced,
                  "bench_scale: fault-free eccentricity did not quiesce");
-  return {out.ecc, out.stats.rounds, out.stats.messages};
+  row.add("congest_ecc_root0", out.ecc)
+      .add("congest_rounds", out.stats.rounds)
+      .add("congest_messages", out.stats.messages);
 }
 
-EngineRow engine_sweep(const graph::Graph& g) {
+/// The full EccEngine sweep (kAuto: bit-parallel at these sizes, on every
+/// CPU); returns the diameter.
+std::uint32_t engine_sweep(const graph::Graph& g, Row& row) {
   const auto t0 = std::chrono::steady_clock::now();
-  graph::EccEngine engine(g);  // kAuto: bit-parallel at these sizes
-  EngineRow e;
-  e.diameter = engine.diameter();
-  e.radius = engine.radius();
-  e.bfs_runs = engine.bfs_runs();
-  e.kernel = g.n() >= 256 ? "bit_parallel" : "flat";
-  e.threads = std::max(1u, std::thread::hardware_concurrency());
-  e.ms = ms_since(t0);
-  return e;
-}
-
-std::string opt_num(const std::optional<double>& v) {
-  return v ? fmt(*v, 2) : std::string("null");
-}
-
-void emit_row(std::ostringstream& json, const ScaleRow& r, bool last) {
-  json << "    {\"dataset\": \"" << r.dataset << "\", \"n\": " << r.n
-       << ", \"m\": " << r.m << ",\n"
-       << "     \"text_load_ms\": " << opt_num(r.text_load_ms)
-       << ", \"varint_load_ms\": " << opt_num(r.varint_load_ms)
-       << ", \"raw_load_ms\": " << opt_num(r.raw_load_ms)
-       << ", \"mapped\": " << (r.mapped ? "true" : "false") << ",\n"
-       << "     \"bfs_sources\": " << r.bfs_sources
-       << ", \"bfs_avg_ms\": " << fmt(r.bfs_avg_ms, 3)
-       << ", \"dsweep_lb\": " << r.dsweep_lb << ",\n"
-       << "     \"congest\": ";
-  if (r.congest) {
-    json << "{\"ecc_root0\": " << r.congest->ecc
-         << ", \"rounds\": " << r.congest->rounds
-         << ", \"messages\": " << r.congest->messages << "}";
-  } else {
-    json << "null";
-  }
-  json << ",\n     \"ecc_engine\": ";
-  if (r.engine) {
-    json << "{\"diameter\": " << r.engine->diameter
-         << ", \"radius\": " << r.engine->radius
-         << ", \"bfs_runs\": " << r.engine->bfs_runs << ", \"kernel\": \""
-         << r.engine->kernel << "\", \"threads\": " << r.engine->threads
-         << ", \"ms\": " << fmt(r.engine->ms, 1) << "}";
-  } else {
-    json << "null";
-  }
-  json << ",\n     \"sampled_lb\": "
-       << (r.sampled_lb ? fmt(*r.sampled_lb) : std::string("null"))
-       << ",\n     \"skipped\": [";
-  for (std::size_t i = 0; i < r.skipped.size(); ++i) {
-    json << (i == 0 ? "" : ", ") << "\"" << r.skipped[i] << "\"";
-  }
-  json << "]}" << (last ? "" : ",") << "\n";
+  graph::EccEngine engine(g);
+  const std::uint32_t diameter = engine.diameter();
+  const std::uint32_t radius = engine.radius();
+  row.add("engine_ms", Value(ms_since(t0), 1))
+      .add("engine_diameter", diameter)
+      .add("engine_radius", radius)
+      .add("engine_bfs_runs", engine.bfs_runs())
+      .add("engine_kernel", g.n() >= 256 ? "bit_parallel" : "flat");
+  return diameter;
 }
 
 }  // namespace
@@ -193,13 +134,12 @@ void emit_row(std::ostringstream& json, const ScaleRow& r, bool last) {
 int main(int argc, char** argv) {
   const auto opt =
       BenchOptions::parse(argc, argv, {"out", "full", "data-dir"});
-  Cli cli(argc, argv);
+  const Cli& cli = opt.cli;
   const bool full = cli.get_bool("full", false);
   require(!(full && opt.quick), "bench_scale: pick one of --quick / --full");
   const std::string mode =
       opt.quick ? "quick" : (full ? "full" : "default");
   const std::string data_dir = cli.get_string("data-dir", QC_DATA_DIR);
-  const std::string out = cli.get_string("out", "");
   const auto cache_dir = fs::temp_directory_path() / "qc_bench_scale";
   fs::create_directories(cache_dir);
 
@@ -208,134 +148,93 @@ int main(int argc, char** argv) {
          "sweep,\nO(D)-round distributed eccentricity, full EccEngine on "
          "the bit-parallel kernel");
 
-  std::vector<ScaleRow> rows;
+  Record rec("scale");
+  rec.param("mode", mode);
 
   // --- 10k: the p2p-Gnutella04-sized graph, all three load paths. ---
   {
-    ScaleRow r;
-    r.dataset = "synth-p2p-10k";
-    const auto txt = data_dir + "/synth-p2p-10k.txt";
-    const auto qcg = data_dir + "/synth-p2p-10k.qcg";
+    const std::string name = "synth-p2p-10k";
+    Row& r = new_row(rec, name);
+    std::string skipped;
     const auto raw = (cache_dir / "synth-p2p-10k.raw.qcg").string();
-    auto text_load = time_load(txt);
-    r.text_load_ms = text_load.ms;
-    r.varint_load_ms = time_load(qcg).ms;
-    graph::write_qcg_file(raw, text_load.g, graph::QcgEncoding::kRawCsr);
-    auto [mapped, raw_ms] = time_load(raw);
-    r.raw_load_ms = raw_ms;
-    r.mapped = mapped.is_view();
-    r.n = mapped.n();
-    r.m = mapped.m();
+    const auto text =
+        timed_load(data_dir + "/synth-p2p-10k.txt", r, "text_load_ms");
+    timed_load(data_dir + "/synth-p2p-10k.qcg", r, "varint_load_ms");
+    graph::write_qcg_file(raw, text, graph::QcgEncoding::kRawCsr);
+    const auto mapped = raw_view(raw, r);
     measure_bfs(mapped, opt.quick ? 4 : 8, r);
-    r.congest = congest_ecc(mapped);
+    congest_ecc(mapped, r);
     if (full) {
-      r.engine = engine_sweep(mapped);
+      engine_sweep(mapped, r);
     } else {
-      skip(r, "ecc_engine full sweep", mode + ": pass --full");
+      skip(skipped, name, "ecc_engine full sweep", mode + ": pass --full");
     }
-    rows.push_back(std::move(r));
+    r.add("skipped", skipped.empty() ? Value() : Value(skipped));
   }
 
   // --- 100k: the acceptance-scale dataset, varint + raw mmap. ---
   {
-    ScaleRow r;
-    r.dataset = "synth-p2p-100k";
-    const auto qcg = data_dir + "/synth-p2p-100k.qcg";
+    const std::string name = "synth-p2p-100k";
+    Row& r = new_row(rec, name);
+    std::string skipped;
     const auto raw = (cache_dir / "synth-p2p-100k.raw.qcg").string();
-    auto varint_load = time_load(qcg);
-    r.varint_load_ms = varint_load.ms;
-    graph::write_qcg_file(raw, varint_load.g, graph::QcgEncoding::kRawCsr);
-    auto [mapped, raw_ms] = time_load(raw);
-    r.raw_load_ms = raw_ms;
-    r.mapped = mapped.is_view();
-    r.n = mapped.n();
-    r.m = mapped.m();
+    const auto varint =
+        timed_load(data_dir + "/synth-p2p-100k.qcg", r, "varint_load_ms");
+    graph::write_qcg_file(raw, varint, graph::QcgEncoding::kRawCsr);
+    const auto mapped = raw_view(raw, r);
     measure_bfs(mapped, opt.quick ? 4 : 8, r);
     if (!opt.quick) {
-      r.congest = congest_ecc(mapped);
+      congest_ecc(mapped, r);
     } else {
-      skip(r, "congest eccentricity", "quick");
+      skip(skipped, name, "congest eccentricity", "quick");
     }
     if (full) {
-      r.engine = engine_sweep(mapped);
+      engine_sweep(mapped, r);
     } else {
-      skip(r, "ecc_engine full sweep", mode + ": pass --full");
+      skip(skipped, name, "ecc_engine full sweep", mode + ": pass --full");
     }
-    rows.push_back(std::move(r));
+    r.add("skipped", skipped.empty() ? Value() : Value(skipped));
   }
 
   // --- 1M: generated once, cached as raw .qcg under the temp dir. ---
-  if (full) {
-    ScaleRow r;
-    r.dataset = "pa-1m";
-    const auto raw = (cache_dir / "pa-1m.raw.qcg").string();
-    if (!graph::is_qcg_file(raw)) {
-      const auto t0 = std::chrono::steady_clock::now();
-      const auto g = graph::make_from_spec("pa:1000000:3:42");
-      std::cout << "generated pa:1000000:3:42 in " << fmt(ms_since(t0), 0)
-                << " ms, caching " << raw << "\n";
-      graph::write_qcg_file(raw, g, graph::QcgEncoding::kRawCsr);
+  {
+    const std::string name = "pa-1m";
+    Row& r = new_row(rec, name);
+    if (full) {
+      const auto raw = (cache_dir / "pa-1m.raw.qcg").string();
+      if (!graph::is_qcg_file(raw)) {
+        const auto t0 = std::chrono::steady_clock::now();
+        const auto g = graph::make_from_spec("pa:1000000:3:42");
+        std::cout << "generated pa:1000000:3:42 in " << fmt(ms_since(t0), 0)
+                  << " ms, caching " << raw << "\n";
+        graph::write_qcg_file(raw, g, graph::QcgEncoding::kRawCsr);
+      }
+      const auto mapped = raw_view(raw, r);
+      std::uint32_t sampled_lb = measure_bfs(mapped, 8, r);
+      congest_ecc(mapped, r);
+      // Sampled 32-source eccentricity lower bound: kept as a cheap
+      // cross-check of the exhaustive sweep below.
+      graph::BfsScratch scratch;
+      for (const graph::NodeId root : spread_roots(mapped.n(), 32)) {
+        graph::flat_bfs_distances(mapped, root, scratch);
+        sampled_lb = std::max(sampled_lb, scratch.finite_ecc);
+      }
+      r.add("sampled_lb", sampled_lb);
+      // The exhaustive n-BFS sweep — infeasible on the flat kernel (hours),
+      // feasible on the bit-parallel one.
+      check_internal(engine_sweep(mapped, r) >= sampled_lb,
+                     "bench_scale: exhaustive diameter below sampled bound");
+    } else {
+      std::string skipped;
+      skip(skipped, name,
+           "all configs (generate + load + BFS + congest + ecc_engine)",
+           mode + ": pass --full");
+      r.add("skipped", skipped);
     }
-    auto [mapped, raw_ms] = time_load(raw);
-    r.raw_load_ms = raw_ms;
-    r.mapped = mapped.is_view();
-    r.n = mapped.n();
-    r.m = mapped.m();
-    measure_bfs(mapped, 8, r);
-    r.congest = congest_ecc(mapped);
-    // Sampled 32-source eccentricity lower bound: kept as a cheap
-    // cross-check of the exhaustive sweep below.
-    graph::BfsScratch scratch;
-    std::uint32_t best = r.dsweep_lb;
-    for (std::uint32_t i = 0; i < 32; ++i) {
-      const auto root = static_cast<graph::NodeId>(
-          (static_cast<std::uint64_t>(i) * mapped.n()) / 32);
-      graph::flat_bfs_distances(mapped, root, scratch);
-      best = std::max(best, scratch.finite_ecc);
-    }
-    r.sampled_lb = best;
-    // The exhaustive n-BFS sweep — infeasible on the flat kernel (hours),
-    // feasible on the bit-parallel one. This is the row PR 7 exists for.
-    r.engine = engine_sweep(mapped);
-    check_internal(r.engine->diameter >= *r.sampled_lb,
-                   "bench_scale: exhaustive diameter below sampled bound");
-    rows.push_back(std::move(r));
-  } else {
-    ScaleRow r;
-    r.dataset = "pa-1m";
-    skip(r, "all configs (generate + load + BFS + congest + ecc_engine)",
-         mode + ": pass --full");
-    rows.push_back(std::move(r));
   }
 
   std::cout << "\n";
-  Table t({"dataset", "n", "m", "text ms", "varint ms", "raw ms", "mapped",
-           "bfs ms", "dsweep lb", "congest rounds", "engine D",
-           "engine ms"});
-  for (const auto& r : rows) {
-    t.add_row({r.dataset, fmt(r.n), fmt(r.m), opt_num(r.text_load_ms),
-               opt_num(r.varint_load_ms), opt_num(r.raw_load_ms),
-               r.mapped ? "yes" : "no", fmt(r.bfs_avg_ms, 3),
-               fmt(r.dsweep_lb),
-               r.congest ? fmt(r.congest->rounds) : std::string("-"),
-               r.engine ? fmt(r.engine->diameter) : std::string("-"),
-               r.engine ? fmt(r.engine->ms, 1) : std::string("-")});
-  }
-  t.print(std::cout);
-
-  std::ostringstream json;
-  json << "{\n  \"bench\": \"scale\",\n  \"mode\": \"" << mode << "\",\n"
-       << "  \"rows\": [\n";
-  for (std::size_t i = 0; i < rows.size(); ++i) {
-    emit_row(json, rows[i], i + 1 == rows.size());
-  }
-  json << "  ]\n}\n";
-  std::cout << "\n" << json.str();
-  if (!out.empty()) {
-    std::ofstream f(out);
-    require(f.good(), "bench_scale: cannot open --out file " + out);
-    f << json.str();
-    std::cout << "wrote " << out << "\n";
-  }
+  rec.print_table(std::cout);
+  rec.write(cli.get_string("out", ""));
   return 0;
 }

@@ -18,14 +18,13 @@
 //   * the resident phase does zero BFS work (bfs_runs frozen),
 //   * per-invocation median >= 10x the resident p50.
 //
-// Modes: --quick (CI smoke, fewer requests), default. Emits a JSON summary
-// (stdout and --out=FILE); full-mode rows are committed as BENCH_serve.json.
+// Modes: --quick (CI smoke, fewer requests), default. `--out=FILE` writes
+// the run's record (bench/harness.hpp); the default-mode record is
+// committed as BENCH_serve.json.
 
 #include <algorithm>
 #include <chrono>
 #include <filesystem>
-#include <fstream>
-#include <sstream>
 #include <string>
 #include <thread>
 #include <vector>
@@ -43,18 +42,6 @@ using namespace qc::bench;
 namespace {
 
 namespace fs = std::filesystem;
-
-double ms_since(std::chrono::steady_clock::time_point t0) {
-  const auto dt = std::chrono::steady_clock::now() - t0;
-  return std::chrono::duration<double, std::milli>(dt).count();
-}
-
-struct ResidentPhase {
-  double p50_us = 0;
-  double p99_us = 0;
-  double qps = 0;
-  std::uint64_t requests = 0;
-};
 
 // One client connection issuing `requests` cache-hit queries, cycling
 // diameter / radius / ecc(v); per-request latencies land in `lat_us`.
@@ -86,7 +73,7 @@ void client_loop(const std::string& endpoint, const std::string& key,
 int main(int argc, char** argv) {
   const auto opt = BenchOptions::parse(
       argc, argv, {"out", "dataset", "clients", "requests"});
-  Cli cli(argc, argv);
+  const Cli& cli = opt.cli;
   const std::string dataset =
       cli.get_string("dataset", std::string(QC_DATA_DIR) +
                                     "/synth-p2p-10k.qcg");
@@ -94,7 +81,6 @@ int main(int argc, char** argv) {
       static_cast<int>(cli.get_int_in("clients", 4, 1, 256));
   const int requests_per_client = static_cast<int>(cli.get_int_in(
       "requests", opt.quick ? 250 : 2500, 1, 1 << 24));
-  const std::string out = cli.get_string("out", "");
 
   banner("Resident-graph serving vs per-invocation lifecycle",
          "qcongestd keeps the graph and its compute-once eccentricity "
@@ -170,59 +156,49 @@ int main(int argc, char** argv) {
   check_internal(resident->engine().bfs_runs() == bfs_before,
                  "bench_serve: resident queries ran BFS work");
 
-  ResidentPhase phase;
   std::vector<double> all;
   for (auto& per_client : lat) {
     all.insert(all.end(), per_client.begin(), per_client.end());
   }
-  phase.requests = all.size();
-  phase.qps = static_cast<double>(phase.requests) / (storm_ms / 1000.0);
+  const std::uint64_t requests = all.size();
+  const double qps = static_cast<double>(requests) / (storm_ms / 1000.0);
   std::vector<double> copy = all;
-  phase.p50_us = quantile(std::move(copy), 0.5);
-  phase.p99_us = quantile(std::move(all), 0.99);
+  const double p50_us = quantile(std::move(copy), 0.5);
+  const double p99_us = quantile(std::move(all), 0.99);
   server.stop();
   std::error_code ec;
   fs::remove(sock, ec);
 
-  const double speedup = cold_median_ms * 1000.0 / phase.p50_us;
+  const double speedup = cold_median_ms * 1000.0 / p50_us;
   check_internal(speedup >= 10.0,
                  "bench_serve: resident p50 is not >= 10x faster than the "
                  "per-invocation lifecycle");
 
-  Table t({"phase", "p50", "p99", "qps", "notes"});
-  t.add_row({"per-invocation", fmt(cold_median_ms, 1) + " ms", "-", "-",
-             "load + engine + n-BFS sweep, every time"});
-  t.add_row({"resident load", fmt(load_ms, 1) + " ms", "-", "-",
-             "once per graph (mmap/varint decode)"});
-  t.add_row({"first query", fmt(first_query_ms, 1) + " ms", "-", "-",
-             "pays the compute-once sweep"});
-  t.add_row({"resident query", fmt(phase.p50_us, 1) + " us",
-             fmt(phase.p99_us, 1) + " us", fmt(phase.qps, 0),
-             std::to_string(clients) + " clients, 0 BFS runs"});
-  t.print(std::cout);
+  Record rec("serve");
+  rec.param("quick", opt.quick)
+      .param("dataset", fs::path(dataset).filename().string())
+      .param("n", n)
+      .param("m", m)
+      .param("clients", clients)
+      .param("requests_per_client", requests_per_client);
+  // per-invocation: load + engine + n-BFS sweep, every time; resident load:
+  // once per graph (mmap/varint decode); first query: pays the
+  // compute-once sweep; resident query: 0 BFS runs.
+  rec.row("per-invocation")
+      .add("ms", Value(cold_median_ms, 2))
+      .add("diameter", diameter_direct);
+  rec.row("resident load").add("ms", Value(load_ms, 2));
+  rec.row("first query").add("ms", Value(first_query_ms, 2));
+  rec.row("resident query")
+      .add("requests", requests)
+      .add("p50_us", Value(p50_us, 1))
+      .add("p99_us", Value(p99_us, 1))
+      .add("qps", Value(qps, 0))
+      .add("speedup", Value(speedup, 0));
+  rec.print_table(std::cout);
   std::cout << "\nspeedup: resident p50 is " << fmt(speedup, 0)
             << "x faster than per-invocation (gate: >= 10x)\n";
 
-  std::ostringstream json;
-  json << "{\n  \"bench\": \"serve\",\n  \"mode\": \""
-       << (opt.quick ? "quick" : "default") << "\",\n  \"dataset\": \""
-       << fs::path(dataset).filename().string() << "\",\n  \"n\": " << n
-       << ", \"m\": " << m << ",\n  \"clients\": " << clients
-       << ", \"requests\": " << phase.requests << ",\n"
-       << "  \"per_invocation_ms\": " << fmt(cold_median_ms, 2) << ",\n"
-       << "  \"resident\": {\"load_ms\": " << fmt(load_ms, 2)
-       << ", \"first_query_ms\": " << fmt(first_query_ms, 2)
-       << ", \"p50_us\": " << fmt(phase.p50_us, 1)
-       << ", \"p99_us\": " << fmt(phase.p99_us, 1)
-       << ", \"qps\": " << fmt(phase.qps, 0) << ", \"bfs_runs_delta\": 0},\n"
-       << "  \"diameter\": " << diameter_direct
-       << ", \"speedup_p50\": " << fmt(speedup, 0) << "\n}\n";
-  std::cout << "\n" << json.str();
-  if (!out.empty()) {
-    std::ofstream f(out);
-    require(f.good(), "bench_serve: cannot open --out file " + out);
-    f << json.str();
-    std::cout << "wrote " << out << "\n";
-  }
+  rec.write(cli.get_string("out", ""));
   return 0;
 }

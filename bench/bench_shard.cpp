@@ -26,16 +26,13 @@
 // reps must not allocate on the coordinator, and every worker arms its own
 // probe after warmup (ShardConfig::verify_zero_alloc_from_round) — a
 // steady-state allocation on either side of the barrier fails the bench.
-// `--out=FILE` emits the JSON summary that seeds BENCH_shard.json.
+// `--out=FILE` writes the run's record (bench/harness.hpp); BENCH_shard.json
+// holds the toy and the dataset run.
 
 #include <algorithm>
-#include <chrono>
 #include <cstdint>
-#include <fstream>
 #include <memory>
-#include <sstream>
 #include <string>
-#include <thread>
 #include <utility>
 #include <vector>
 
@@ -45,7 +42,6 @@
 #include "congest/shard/sharded_network.hpp"
 #include "graph/io.hpp"
 #include "util/alloc_probe.hpp"
-#include "util/bits.hpp"
 #include "util/error.hpp"
 
 QC_INSTALL_ALLOC_PROBE();
@@ -55,108 +51,16 @@ using namespace qc::bench;
 
 namespace {
 
-double ms_since(std::chrono::steady_clock::time_point t0) {
-  const auto dt = std::chrono::steady_clock::now() - t0;
-  return std::chrono::duration<double, std::milli>(dt).count();
-}
-
-/// Order-sensitive hash fold; summing per-node hashes gives a workload
-/// checksum every engine must reproduce exactly on fault-free runs.
-std::uint64_t mix(std::uint64_t h, std::uint64_t v) {
-  return h ^ (v + 0x9e3779b97f4a7c15ULL + (h << 6) + (h >> 2));
-}
-
-/// Flooding program: broadcast (id, round) each round, hash everything
-/// heard. Serializes its hash so the sharded engine's harvest can bring
-/// the checksum back to the coordinator for the parity gate.
-class Flood final : public congest::NodeProgram {
- public:
-  void on_start(congest::NodeContext& ctx) override { blast(ctx); }
-
-  void on_round(congest::NodeContext& ctx) override {
-    for (const auto& in : ctx.inbox()) {
-      sum_ = mix(mix(mix(sum_, in.port), in.msg.field(0)), in.msg.field(1));
-    }
-    blast(ctx);
-  }
-
-  void serialize_state(congest::Message& out) const override {
-    out.push(sum_, 64);
-  }
-  void restore_state(const congest::Message& in) override {
-    require(in.num_fields() == 1, "Flood::restore_state: bad shape");
-    sum_ = in.field(0);
-  }
-
-  std::uint64_t sum() const { return sum_; }
-
- private:
-  static void blast(congest::NodeContext& ctx) {
-    congest::Message m;
-    m.push(ctx.id(), ctx.id_bits());
-    m.push(ctx.round() & 0xFFFFu, 16);
-    ctx.broadcast(m);
-  }
-
-  std::uint64_t sum_ = 0;
-};
-
+/// One config's timing plus, for a sharded one, its transport counters.
 struct Result {
-  double ms = 0.0;                   ///< best (min) timed repetition
-  std::uint64_t messages = 0;        ///< deliveries in that repetition
-  std::uint64_t total_messages = 0;  ///< deliveries across all repetitions
-  std::uint64_t total_bits = 0;
-  std::uint64_t rounds = 0;          ///< total rounds across all repetitions
-  bool quiesced = false;             ///< final phase's quiescence flag
-  std::uint64_t checksum = 0;
-  std::uint64_t boundary_arcs = 0;   ///< directed edges crossing shards
-  std::uint64_t timed_allocs = 0;    ///< coordinator heap allocs in the reps
+  Phases p;
+  std::uint64_t boundary_arcs = 0;  ///< directed edges crossing shards
   // From ShardedNetwork::perf(), accumulated over warmup + reps:
   double barrier_us_per_round = 0.0;
   double boundary_bytes_per_round = 0.0;
   std::uint64_t events_elided = 0;
   std::uint64_t spilled_frames = 0;
-
-  double msgs_per_sec() const {
-    return static_cast<double>(messages) / std::max(ms, 1e-9) * 1e3;
-  }
-  double ns_per_delivery() const {
-    return ms * 1e6 / static_cast<double>(std::max<std::uint64_t>(messages, 1));
-  }
 };
-
-/// One benchmark pass over any engine with the Network-shaped API:
-/// init, warmup, `reps` timed phases, then the per-node checksum. The
-/// sequence of run_rounds calls is identical for every engine, so the
-/// accumulated stats are directly comparable. The coordinator-side alloc
-/// probe brackets exactly the timed reps: warmup owns every one-time
-/// capacity growth, so a warmed steady state must stay at zero.
-template <typename Net>
-Result drive(Net& net, const graph::Graph& g, std::uint32_t warm,
-             std::uint32_t rounds, std::uint32_t reps) {
-  net.init_programs([](graph::NodeId) { return std::make_unique<Flood>(); });
-  net.run_rounds(warm);
-  Result r;
-  const std::uint64_t a0 = qc::alloc_probe_count();
-  for (std::uint32_t rep = 0; rep < reps; ++rep) {
-    const auto t0 = std::chrono::steady_clock::now();
-    const congest::RunStats st = net.run_rounds(rounds);
-    const double ms = ms_since(t0);
-    if (rep == 0 || ms < r.ms) {
-      r.ms = ms;
-      r.messages = st.messages;
-    }
-    r.total_messages += st.messages;
-    r.total_bits += st.bits;
-    r.quiesced = st.quiesced;
-  }
-  r.timed_allocs = qc::alloc_probe_count() - a0;
-  r.rounds = net.stats().rounds;
-  for (graph::NodeId v = 0; v < g.n(); ++v) {
-    r.checksum += net.template program_as<Flood>(v).sum();
-  }
-  return r;
-}
 
 Result run_sequential(const graph::Graph& g, std::uint64_t seed,
                       std::uint32_t warm, std::uint32_t rounds,
@@ -164,7 +68,7 @@ Result run_sequential(const graph::Graph& g, std::uint64_t seed,
   congest::NetworkConfig cfg;
   cfg.seed = seed;
   congest::Network net(g, cfg);
-  return drive(net, g, warm, rounds, reps);
+  return {time_flood(net, warm, rounds, reps)};
 }
 
 Result run_sharded(const graph::Graph& g, std::uint32_t shards,
@@ -180,7 +84,7 @@ Result run_sharded(const graph::Graph& g, std::uint32_t shards,
   // bench) with a descriptive error.
   if (check) cfg.verify_zero_alloc_from_round = warm;
   congest::shard::ShardedNetwork net(g, cfg);
-  Result r = drive(net, g, warm, rounds, reps);
+  Result r{time_flood(net, warm, rounds, reps)};
   for (std::uint32_t s = 0; s < shards; ++s) {
     r.boundary_arcs +=
         congest::shard::boundary_arcs(g, net.assignment(), s).size();
@@ -203,7 +107,7 @@ Result run_sharded(const graph::Graph& g, std::uint32_t shards,
 int main(int argc, char** argv) {
   const auto opt = BenchOptions::parse(
       argc, argv, {"out", "n", "d", "rounds", "check", "dataset"});
-  Cli cli(argc, argv);
+  const Cli& cli = opt.cli;
   const std::string dataset = cli.get_string("dataset", "");
   const auto n =
       static_cast<std::uint32_t>(cli.get_int("n", opt.quick ? 192 : 512));
@@ -214,7 +118,6 @@ int main(int argc, char** argv) {
   const auto rounds =
       static_cast<std::uint32_t>(cli.get_int("rounds", default_rounds));
   const bool check = cli.get_bool("check", false);
-  const std::string out = cli.get_string("out", "");
   const std::uint32_t warm = 8;
   const std::uint32_t reps = dataset.empty() ? (opt.quick ? 2 : 4)
                                              : (opt.quick ? 1 : 2);
@@ -253,40 +156,57 @@ int main(int argc, char** argv) {
                                    rounds, reps)});
   }
 
-  const Result& seq = results[0].r;
+  const Phases& seq = results[0].r.p;
   const std::uint64_t arcs_total = 2ull * g.m();
 
-  Table t({"config", "ms", "msgs/sec", "ns/delivery", "boundary%",
-           "barrier us/rd", "bytes/rd", "vs seq"});
+  Record rec("shard_scaling");
+  rec.param("workload", workload_name)
+      .param("quick", opt.quick)
+      .param("n", g.n())
+      .param("edges", g.m())
+      .param("rounds", rounds)
+      .param("reps", reps)
+      .param("warmup_rounds", warm)
+      .param("bandwidth_bits", congest_bandwidth_bits(g.n()));
   for (const auto& nr : results) {
-    const double bfrac =
+    const bool sharded = nr.shards != 0;
+    const auto if_sharded = [sharded](Value v) {
+      return sharded ? v : Value();
+    };
+    const double boundary_pct =
         100.0 * static_cast<double>(nr.r.boundary_arcs) /
         static_cast<double>(std::max<std::uint64_t>(arcs_total, 1));
-    const bool sharded = nr.shards != 0;
-    t.add_row({nr.name, fmt(nr.r.ms, 1), fmt(nr.r.msgs_per_sec(), 0),
-               fmt(nr.r.ns_per_delivery(), 1),
-               sharded ? fmt(bfrac, 1) : std::string("-"),
-               sharded ? fmt(nr.r.barrier_us_per_round, 0) : std::string("-"),
-               sharded ? fmt(nr.r.boundary_bytes_per_round, 0)
-                       : std::string("-"),
-               fmt(seq.ms / std::max(nr.r.ms, 1e-9), 2) + "x"});
+    rec.row(nr.name)
+        .add("ms", Value(nr.r.p.ms, 3))
+        .add("messages_all_reps", nr.r.p.total_messages)
+        .add("msgs_per_sec", Value(nr.r.p.msgs_per_sec(), 0))
+        .add("ns_per_delivery", Value(nr.r.p.ns_per_delivery(), 1))
+        .add("boundary_arcs", if_sharded(nr.r.boundary_arcs))
+        .add("boundary_pct", if_sharded(Value(boundary_pct, 1)))
+        .add("barrier_us_per_round",
+             if_sharded(Value(nr.r.barrier_us_per_round, 1)))
+        .add("boundary_bytes_per_round",
+             if_sharded(Value(nr.r.boundary_bytes_per_round, 0)))
+        .add("events_elided", if_sharded(nr.r.events_elided))
+        .add("spilled_frames", if_sharded(nr.r.spilled_frames))
+        .add("vs_seq", Value(seq.ms / std::max(nr.r.p.ms, 1e-9), 2));
   }
-  t.print(std::cout);
+  rec.print_table(std::cout);
 
   // Parity gates: every sharded configuration must agree with the
   // sequential engine on every observable — these run on every invocation
   // and are the reason this bench doubles as a stress test in CI.
   for (const auto& nr : results) {
     if (nr.shards == 0) continue;
-    check_internal(nr.r.total_messages == seq.total_messages &&
-                       nr.r.total_bits == seq.total_bits,
+    check_internal(nr.r.p.total_messages == seq.total_messages &&
+                       nr.r.p.total_bits == seq.total_bits,
                    nr.name + " disagrees with the sequential engine on "
                              "message/bit totals");
-    check_internal(nr.r.rounds == seq.rounds &&
-                       nr.r.quiesced == seq.quiesced,
+    check_internal(nr.r.p.stats.rounds == seq.stats.rounds &&
+                       nr.r.p.stats.quiesced == seq.stats.quiesced,
                    nr.name + " disagrees with the sequential engine on "
                              "rounds/quiescence");
-    check_internal(nr.r.checksum == seq.checksum,
+    check_internal(nr.r.p.checksum == seq.checksum,
                    nr.name + " harvested a different inbox checksum than "
                              "the sequential engine");
   }
@@ -308,54 +228,15 @@ int main(int argc, char** argv) {
     // run_sharded; this pins the coordinator's barrier loop.
     for (const auto& nr : results) {
       if (nr.shards == 0) continue;
-      check_internal(nr.r.timed_allocs == 0,
+      check_internal(nr.r.p.allocs == 0,
                      nr.name + " coordinator allocated " +
-                         std::to_string(nr.r.timed_allocs) +
+                         std::to_string(nr.r.p.allocs) +
                          " time(s) during the timed steady-state reps");
     }
     std::cout << "\ncheck mode: parity + zero-alloc assertions passed for "
                  "every worker count\n";
   }
 
-  std::ostringstream json;
-  json << "{\n"
-       << "  \"bench\": \"shard_scaling\",\n"
-       << "  \"workload\": \"" << workload_name << "\",\n"
-       << "  \"quick\": " << (opt.quick ? "true" : "false") << ",\n"
-       << "  \"host_cpus\": " << std::thread::hardware_concurrency() << ",\n"
-       << "  \"n\": " << g.n() << ",\n"
-       << "  \"edges\": " << g.m() << ",\n"
-       << "  \"rounds\": " << rounds << ",\n"
-       << "  \"reps\": " << reps << ",\n"
-       << "  \"warmup_rounds\": " << warm << ",\n"
-       << "  \"bandwidth_bits\": " << congest_bandwidth_bits(g.n()) << ",\n"
-       << "  \"configs\": {\n";
-  for (std::size_t i = 0; i < results.size(); ++i) {
-    const auto& nr = results[i];
-    json << "    \"" << nr.name << "\": {\"ms\": " << fmt(nr.r.ms, 3)
-         << ", \"messages\": " << nr.r.messages
-         << ", \"msgs_per_sec\": " << fmt(nr.r.msgs_per_sec(), 0)
-         << ", \"ns_per_delivery\": " << fmt(nr.r.ns_per_delivery(), 1)
-         << ", \"boundary_arcs\": " << nr.r.boundary_arcs
-         << ", \"barrier_us_per_round\": " << fmt(nr.r.barrier_us_per_round, 1)
-         << ", \"boundary_bytes_per_round\": "
-         << fmt(nr.r.boundary_bytes_per_round, 0)
-         << ", \"events_elided\": " << nr.r.events_elided
-         << ", \"spilled_frames\": " << nr.r.spilled_frames
-         << ", \"speedup_vs_seq\": "
-         << fmt(seq.ms / std::max(nr.r.ms, 1e-9), 3) << "}"
-         << (i + 1 < results.size() ? "," : "") << "\n";
-  }
-  json << "  },\n"
-       << "  \"parity\": \"bit-identical\",\n"
-       << "  \"results_equal\": true\n"
-       << "}\n";
-  std::cout << "\n" << json.str();
-  if (!out.empty()) {
-    std::ofstream f(out);
-    require(f.good(), "bench_shard: cannot open --out file " + out);
-    f << json.str();
-    std::cout << "wrote " << out << "\n";
-  }
+  rec.write(cli.get_string("out", ""));
   return 0;
 }

@@ -56,22 +56,6 @@ void close_other_fds(int keep) {
   for (const int fd : to_close) ::close(fd);
 }
 
-/// Sums worker round deltas the way the in-process engines merge per-round
-/// / per-thread stats: counters add, maxima combine by max. Deliberately
-/// not RunStats::operator+= (which also adds `rounds` and overwrites
-/// `quiesced`; the coordinator owns both of those).
-void merge_worker_stats(RunStats& into, const RunStats& d) {
-  into.messages += d.messages;
-  into.bits += d.bits;
-  into.max_edge_bits = std::max(into.max_edge_bits, d.max_edge_bits);
-  into.violations += d.violations;
-  into.max_node_memory_bits =
-      std::max(into.max_node_memory_bits, d.max_node_memory_bits);
-  into.messages_dropped += d.messages_dropped;
-  into.messages_corrupted += d.messages_corrupted;
-  into.crashed_node_rounds += d.crashed_node_rounds;
-}
-
 }  // namespace
 
 ShardedNetwork::ShardedNetwork(const graph::Graph& g, ShardConfig cfg)
@@ -554,7 +538,7 @@ RunStats ShardedNetwork::run_phase(std::uint32_t max_rounds, bool until_quiet) {
         throw Error("shard: worker " + std::to_string(w) +
                     " answered for the wrong round");
       }
-      merge_worker_stats(round_merged, re.stats);
+      round_merged += re.stats;
       workers_[w].inflight = re.inflight;
       workers_[w].halted = re.halted;
       boundary_messages += re.boundary_msgs;
@@ -576,13 +560,15 @@ RunStats ShardedNetwork::run_phase(std::uint32_t max_rounds, bool until_quiet) {
         round_merged.max_node_memory_bits == 0) {
       memory_audit_ = false;
     }
-    merge_worker_stats(phase, round_merged);
+    phase += round_merged;
     ++executed;
     if (metrics::enabled()) {
       metrics::observe("shard.barrier_wait_us",
                        static_cast<double>(wait_us));
     }
   }
+  // The merges above also summed the workers' round counts and kept the
+  // last worker's quiescence flag; the coordinator owns both.
   phase.rounds = executed;
   phase.quiesced = all_quiet();
   stats_ += phase;

@@ -4,7 +4,6 @@
 #include <cerrno>
 #include <chrono>
 #include <csignal>
-#include <cstdio>
 #include <cstring>
 #include <fstream>
 #include <utility>
@@ -33,31 +32,6 @@ double now_us() {
   return std::chrono::duration<double, std::micro>(
              std::chrono::steady_clock::now().time_since_epoch())
       .count();
-}
-
-/// Minimal JSON string escaping for the request log (paths can contain
-/// quotes/backslashes; control characters are dropped to \u form).
-std::string json_escape(const std::string& s) {
-  std::string out;
-  out.reserve(s.size() + 2);
-  for (const char c : s) {
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\r': out += "\\r"; break;
-      case '\t': out += "\\t"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-          out += buf;
-        } else {
-          out += c;
-        }
-    }
-  }
-  return out;
 }
 
 }  // namespace
@@ -390,7 +364,7 @@ Response Server::execute(const Request& req) {
         for (const auto& key : keys) {
           if (!first) json += ',';
           json += '"';
-          json += json_escape(key);
+          json += metrics::json_escape(key);
           json += '"';
           first = false;
         }
@@ -484,7 +458,7 @@ void Server::log_request(std::uint64_t id, const Request& req,
   // kept so the schema is forward-compatible with distributed backends).
   std::string line =
       "{\"request_id\":" + std::to_string(id) + ",\"op\":\"" +
-      op_name(req.op) + "\",\"graph\":\"" + json_escape(req.path) +
+      op_name(req.op) + "\",\"graph\":\"" + metrics::json_escape(req.path) +
       "\",\"status\":\"" + status_name(resp.status) +
       "\",\"value\":" + std::to_string(resp.value) +
       ",\"latency_us\":" + std::to_string(latency_us) +

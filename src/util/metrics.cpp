@@ -28,6 +28,8 @@ std::string fmt_double(double v) {
   return buf;
 }
 
+}  // namespace
+
 std::string json_escape(std::string_view s) {
   std::string out;
   out.reserve(s.size() + 2);
@@ -50,8 +52,6 @@ std::string json_escape(std::string_view s) {
   }
   return out;
 }
-
-}  // namespace
 
 MetricsRegistry* global() {
   return g_registry.load(std::memory_order_relaxed);

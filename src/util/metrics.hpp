@@ -43,6 +43,10 @@ namespace qc::metrics {
 /// key sets; tests/test_metrics.cpp pins the key sets for this version.
 inline constexpr std::uint32_t kSchemaVersion = 1;
 
+/// `s` as the body of a JSON string: quotes, backslashes and control
+/// characters escaped. Every JSON writer in the library and benches uses it.
+std::string json_escape(std::string_view s);
+
 /// One exported span: a named phase with hierarchy (parent span id, 0 =
 /// top level), wall time, and the model-level costs attributed to it.
 struct SpanSample {
